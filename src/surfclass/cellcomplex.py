@@ -24,9 +24,11 @@ from typing import Mapping
 from .edgeword import (
     EdgeSym,
     Word,
+    cyclic_canonical,
     format_word,
     inverse_word,
     parse_word,
+    sym_key,
     valid_name,
 )
 from .errors import (
@@ -72,10 +74,6 @@ class InvariantReport:
         return (self.orientable, self.num_contours, self.euler)
 
 
-def _sym_key(s: EdgeSym):
-    return (s.name, 0 if s.sign > 0 else 1)
-
-
 @dataclass(frozen=True)
 class CellComplex:
     """Immutable validated cell complex.  Build via :func:`build`."""
@@ -90,12 +88,7 @@ class CellComplex:
 
     @cached_property
     def edges(self) -> tuple:
-        seen = []
-        for _, w in self.faces:
-            for s in w:
-                if s.name not in seen:
-                    seen.append(s.name)
-        return tuple(sorted(seen))
+        return tuple(sorted({s.name for _, w in self.faces for s in w}))
 
     @cached_property
     def edge_occurrences(self) -> dict:
@@ -132,40 +125,39 @@ class CellComplex:
     # -- vertices via the end graph -------------------------------------
 
     @cached_property
-    def _vertex_data(self):
-        """Compute the vertex partition.
+    def _vertex_runs(self):
+        """Walk the end graph once, without canonicalizing.
 
-        Returns (vertices, sym_to_vertex) where vertices is a sorted
-        tuple of Vertex and sym_to_vertex maps every oriented symbol to
-        its vertex index.
+        Returns (border runs, inner runs): the incoming symbols of each
+        path and each cycle in walk order, or None when every word is
+        empty (the single null vertex).
         """
-        slots = []  # (sym, face index, pos)
-        slot_of = {}
-        for fi, (_, w) in enumerate(self.faces):
-            for pos, s in enumerate(w):
-                slot_of[(fi, pos)] = len(slots)
-                slots.append(s)
-        nslots = len(slots)
-        if nslots == 0:
-            null = Vertex(NULL, ())
-            return (null,), {}
+        # ends: head(slot k) = 2k carries its symbol, tail = 2k+1 the inverse
+        base = []  # slot index of each face's first letter
+        member = []
+        for _, w in self.faces:
+            base.append(len(member) // 2)
+            for s in w:
+                member += (s, s.inv())
+        nends = len(member)
+        if nends == 0:
+            return None
 
-        # ends: head(slot) = 2k, tail(slot) = 2k+1
-        corner = [None] * (2 * nslots)
+        corner = [None] * nends
         for fi, (_, w) in enumerate(self.faces):
-            n = len(w)
+            n, b0 = len(w), base[fi]
             for pos in range(n):
-                a = slot_of[(fi, pos)]
-                b = slot_of[(fi, (pos + 1) % n)]
+                a = b0 + pos
+                b = b0 + (pos + 1) % n
                 corner[2 * a] = 2 * b + 1
                 corner[2 * b + 1] = 2 * a
 
-        glue = [None] * (2 * nslots)
+        glue = [None] * nends
         for occ in self.edge_occurrences.values():
             if len(occ) != 2:
                 continue
             (f1, p1, s1), (f2, p2, s2) = occ
-            u, v = slot_of[(f1, p1)], slot_of[(f2, p2)]
+            u, v = base[f1] + p1, base[f2] + p2
             if s1 == s2:
                 glue[2 * u], glue[2 * v] = 2 * v, 2 * u
                 glue[2 * u + 1], glue[2 * v + 1] = 2 * v + 1, 2 * u + 1
@@ -173,51 +165,67 @@ class CellComplex:
                 glue[2 * u], glue[2 * v + 1] = 2 * v + 1, 2 * u
                 glue[2 * u + 1], glue[2 * v] = 2 * v, 2 * u + 1
 
-        def member(end: int) -> EdgeSym:
-            s = slots[end // 2]
-            return s if end % 2 == 0 else s.inv()
+        seen = [False] * nends
+        borders, inners = [], []
 
-        seen = [False] * (2 * nslots)
-        vertices = []
-        sym_to_vertex = {}
-
-        def walk_path(start: int):
-            # start is an unglued end; alternate corner / glue
-            run = [member(start)]
-            seen[start] = True
-            e = corner[start]
-            while True:
-                seen[e] = True
-                run.append(member(e))
-                g = glue[e]
-                if g is None:
-                    return run
-                seen[g] = True
-                e = corner[g]
-
-        # border vertices first: paths start at unglued ends
-        for e0 in range(2 * nslots):
+        # border vertices first: paths start at unglued ends and
+        # alternate corner / glue
+        for e0 in range(nends):
             if seen[e0] or glue[e0] is not None:
                 continue
-            run = walk_path(e0)
-            vertices.append(Vertex(BORDER, _canon_chain(run)))
+            run = [member[e0]]
+            seen[e0] = True
+            e = corner[e0]
+            while True:
+                seen[e] = True
+                run.append(member[e])
+                g = glue[e]
+                if g is None:
+                    break
+                seen[g] = True
+                e = corner[g]
+            borders.append(run)
 
         # remaining components are cycles: inner vertices
-        for e0 in range(2 * nslots):
+        for e0 in range(nends):
             if seen[e0]:
                 continue
             run = []
             e = e0
             while not seen[e]:
                 seen[e] = True
-                run.append(member(e))
+                run.append(member[e])
                 g = glue[e]
                 seen[g] = True
                 e = corner[g]
-            vertices.append(Vertex(INNER, _canon_cycle(run)))
+            inners.append(run)
+        return borders, inners
 
-        vertices.sort(key=lambda v: [_sym_key(s) for s in v.members])
+    def _vertex_count(self) -> int:
+        runs = self._vertex_runs
+        return 1 if runs is None else len(runs[0]) + len(runs[1])
+
+    @cached_property
+    def _vertex_data(self):
+        """Compute the canonical vertex partition.
+
+        Returns (vertices, sym_to_vertex) where vertices is a sorted
+        tuple of Vertex and sym_to_vertex maps every oriented symbol to
+        its vertex index.  Border chains read the same both ways; inner
+        cycles are also rotations: each takes its least representative.
+        """
+        runs = self._vertex_runs
+        if runs is None:
+            return (Vertex(NULL, ()),), {}
+        borders, inners = runs
+        vertices = [Vertex(BORDER, _least_of(tuple(r), tuple(r[::-1]))) for r in borders]
+        vertices += [
+            Vertex(INNER, _least_of(cyclic_canonical(r), cyclic_canonical(r[::-1])))
+            for r in inners
+        ]
+        vertices.sort(key=lambda v: _word_key(v.members))
         out = tuple(vertices)
+        sym_to_vertex = {}
         for i, v in enumerate(out):
             for s in v.members:
                 sym_to_vertex[s] = i
@@ -233,21 +241,19 @@ class CellComplex:
     # -- invariants ------------------------------------------------------
 
     def euler_characteristic(self) -> int:
-        n0 = len(self.vertices())
-        return n0 - len(self.edges) + len(self.faces)
+        return self._vertex_count() - len(self.edges) + len(self.faces)
 
-    def contours(self) -> tuple:
-        """Boundary circles, one per equivalence class of border walks."""
+    def _contour_runs(self) -> list:
+        """One raw run per boundary circle; border runs' ends link them."""
+        runs = self._vertex_runs
         succ = {}
-        for v in self.vertices():
-            if v.kind != BORDER:
-                continue
-            first, last = v.members[0], v.members[-1]
+        for r in runs[0] if runs else ():
+            first, last = r[0], r[-1]
             succ[first] = last.inv()
             succ[last] = first.inv()
         out = []
         visited = set()
-        for start in sorted(succ, key=_sym_key):
+        for start in sorted(succ, key=sym_key):
             if start in visited:
                 continue
             run = [start]
@@ -258,8 +264,16 @@ class CellComplex:
             for s in run:
                 visited.add(s)
                 visited.add(s.inv())
-            out.append(Contour(_canon_contour(tuple(run))))
-        out.sort(key=lambda c: [_sym_key(s) for s in c.edges])
+            out.append(tuple(run))
+        return out
+
+    def contours(self) -> tuple:
+        """Boundary circles; (a1..an) and (an'..a1') are one contour."""
+        out = [
+            Contour(_least_of(cyclic_canonical(r), cyclic_canonical(inverse_word(r))))
+            for r in self._contour_runs()
+        ]
+        out.sort(key=lambda c: _word_key(c.edges))
         return tuple(out)
 
     def is_orientable(self) -> bool:
@@ -303,11 +317,16 @@ class CellComplex:
         return True
 
     def invariant_report(self) -> InvariantReport:
+        return self._report
+
+    @cached_property
+    def _report(self) -> InvariantReport:
+        # counts only: no canonical vertex or contour order is needed
         return InvariantReport(
             orientable=self.is_orientable(),
-            num_contours=len(self.contours()),
+            num_contours=len(self._contour_runs()),
             euler=self.euler_characteristic(),
-            n0=len(self.vertices()),
+            n0=self._vertex_count(),
             n1=len(self.edges),
             n2=len(self.faces),
         )
@@ -318,38 +337,12 @@ class CellComplex:
         return "; ".join(f"{name}: {format_word(w)}" for name, w in self.faces)
 
 
-def _canon_chain(run):
-    """Border chains read the same forwards and backwards; pick the lesser."""
-    run = tuple(run)
-    rev = tuple(reversed(run))
-    key = lambda r: [_sym_key(s) for s in r]
-    return run if key(run) <= key(rev) else rev
+def _word_key(w):
+    return [sym_key(s) for s in w]
 
 
-def _canon_cycle(run):
-    """Least representative over rotations of both traversal directions."""
-    run = tuple(run)
-    best = None
-    key = lambda r: [_sym_key(s) for s in r]
-    for seq in (run, tuple(reversed(run))):
-        for k in range(len(seq)):
-            cand = seq[k:] + seq[:k]
-            if best is None or key(cand) < key(best):
-                best = cand
-    return best
-
-
-def _canon_contour(run):
-    """Contours identify (a1..an) with (an'..a1'); least representative."""
-    best = None
-    key = lambda r: [_sym_key(s) for s in r]
-    alt = tuple(s.inv() for s in reversed(run))
-    for seq in (run, alt):
-        for k in range(len(seq)):
-            cand = seq[k:] + seq[:k]
-            if best is None or key(cand) < key(best):
-                best = cand
-    return best
+def _least_of(u, v):
+    return min(u, v, key=_word_key)
 
 
 def build(faces: Mapping[str, Word | str], internal: bool = False) -> CellComplex:
@@ -407,22 +400,3 @@ def _check_connected(K: CellComplex) -> None:
         roots.setdefault(find(("e", e)), []).append(e)
     if len(roots) > 1:
         raise DisconnectedError(tuple(tuple(v) for v in roots.values()))
-
-
-def brute_force_orientable(K: CellComplex) -> bool:
-    """Exhaustive check over all orientation choices; test oracle only."""
-    n = len(K.faces)
-    if n > 16:
-        raise ValueError("too many faces for brute force")
-    inner = [occ for occ in K.edge_occurrences.values() if len(occ) == 2]
-    for mask in range(1 << n):
-        ok = True
-        for (f1, _, s1), (f2, _, s2) in inner:
-            sign1 = s1 * (-1 if mask >> f1 & 1 else 1)
-            sign2 = s2 * (-1 if mask >> f2 & 1 else 1)
-            if sign1 == sign2:
-                ok = False
-                break
-        if ok:
-            return True
-    return False

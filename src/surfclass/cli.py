@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fileio, svg
@@ -245,7 +246,10 @@ def cmd_winding(args, out):
     pts = fileio.parse_points(_read(args.file))
     try:
         x, y = (float(t) for t in args.point.split(","))
+        finite = math.isfinite(x) and math.isfinite(y)
     except ValueError:
+        finite = False
+    if not finite:
         print("E_USAGE: --point expects 'x,y'", file=sys.stderr)
         return 2
     n = winding_number(ClosedCurve(tuple(pts)), (x, y))

@@ -119,6 +119,12 @@ class UnknownPresetError(SurfclassError):
     code = "E_UNKNOWN_PRESET"
 
 
+class DegenerateGeometryError(SurfclassError, ValueError):
+    """Too few points, or coinciding consecutive points, for a shape."""
+
+    code = "E_DEGENERATE_GEOMETRY"
+
+
 class PointOnCurveError(SurfclassError):
     code = "E_POINT_ON_CURVE"
 

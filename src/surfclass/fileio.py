@@ -12,6 +12,7 @@ Point sets / curves: one ``x,y`` pair per line.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .cellcomplex import CellComplex, build
@@ -43,17 +44,6 @@ def parse_cell_complex(text: str) -> CellComplex:
             raise FileFormatError(f"line {lineno}: duplicate face {name!r}")
         faces[name] = parse_word(m.group(2))
     return build(faces)
-
-
-def format_cell_complex(K: CellComplex, name: str = "") -> str:
-    from .edgeword import format_word
-
-    lines = []
-    if name:
-        lines.append(f"surface {name}")
-    for fname, w in K.faces:
-        lines.append(f"face {fname} : {format_word(w)}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_simplicial(text: str) -> SimplicialComplex2:
@@ -106,9 +96,12 @@ def parse_points(text: str) -> list:
         if len(parts) != 2:
             raise FileFormatError(f"line {lineno}: expected 'x,y'")
         try:
-            pts.append((float(parts[0]), float(parts[1])))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError:
             raise FileFormatError(f"line {lineno}: bad coordinate")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FileFormatError(f"line {lineno}: non-finite coordinate")
+        pts.append((x, y))
     if not pts:
         raise FileFormatError("no points in input")
     return pts

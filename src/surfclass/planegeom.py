@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    DegenerateGeometryError,
     EmptySetError,
     NotContractingError,
     PointOnCurveError,
@@ -80,7 +81,7 @@ class Segment:
 
     def __post_init__(self):
         if self.p1 == self.p2:
-            raise ValueError("segment endpoints must differ")
+            raise DegenerateGeometryError(f"segment endpoints coincide at {self.p1}")
 
     def vertices(self):
         return (self.p1, self.p2)
@@ -96,7 +97,7 @@ class Polygon:
 
     def __post_init__(self):
         if len(self.points) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
+            raise DegenerateGeometryError("polygon needs at least 3 vertices")
 
     def vertices(self):
         return self.points
@@ -325,12 +326,15 @@ class ClosedCurve:
     points: tuple  # >= 3 points, implicitly closed
 
     def __post_init__(self):
-        if len(self.points) < 3:
-            raise ValueError("closed curve needs at least 3 points")
         n = len(self.points)
+        if n < 3:
+            raise DegenerateGeometryError(f"closed curve needs at least 3 points, got {n}")
         for i in range(n):
             if self.points[i] == self.points[(i + 1) % n]:
-                raise ValueError("consecutive curve points must be distinct")
+                raise DegenerateGeometryError(
+                    f"consecutive curve points {i + 1} and {(i + 1) % n + 1} "
+                    f"coincide at {self.points[i]}"
+                )
 
 
 def _point_segment_dist(p, a, b) -> float:

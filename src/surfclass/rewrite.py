@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .cellcomplex import BORDER, INNER, CellComplex, Vertex, build
-from .edgeword import EdgeSym, Word, format_word, inverse_word, rotate, sym
+from .edgeword import EdgeSym, Word, format_word, inverse_word, rotate, sym, sym_key
 from .errors import (
     BadPositionError,
     EdgeNotFoundError,
@@ -37,10 +37,6 @@ from .errors import (
 
 TYPE_I = "I"
 TYPE_II = "II"
-
-# Every public move verifies invariant preservation when True.  Bulk
-# internal callers (triangulation refinement) use the unchecked helpers.
-CHECK_MOVES = True
 
 
 @dataclass(frozen=True)
@@ -129,13 +125,14 @@ def _fresh_start(K: CellComplex) -> int:
 # elementary moves (public API)
 
 
-def _rebuild(K: CellComplex, faces: dict, check: bool = True) -> CellComplex:
+def _rebuild(K: CellComplex, faces: dict) -> CellComplex:
+    # every public move checks invariant preservation; bulk internal
+    # callers (triangulation refinement) use the unchecked helpers
     out = build(faces, internal=True)
-    if check and CHECK_MOVES:
-        if K.invariant_report().key() != out.invariant_report().key():
-            raise InternalInvariantViolation(
-                f"move changed invariants: {K.describe()} -> {out.describe()}"
-            )
+    if K.invariant_report().key() != out.invariant_report().key():
+        raise InternalInvariantViolation(
+            f"move changed invariants: {K.describe()} -> {out.describe()}"
+        )
     return out
 
 
@@ -593,7 +590,7 @@ class _Rewriter:
                     rank = 1
                 else:
                     rank = 2
-            pairs.append((rank, (a.name, a.sign < 0), (vic.name, vic.sign < 0), a, vic))
+            pairs.append((rank, sym_key(a), sym_key(vic), a, vic))
         if not pairs:
             raise InternalInvariantViolation(f"no eliminable pair in {v.members}")
         pairs.sort(key=lambda t: t[:3])
@@ -1007,7 +1004,7 @@ def scramble_step(K: CellComplex, rng: random.Random, counter: int):
         if len(v.members) == 2:
             x, y = v.members
             if x.name != y.name:
-                if (x.name, x.sign < 0) > (y.name, y.sign < 0):
+                if sym_key(x) > sym_key(y):
                     x, y = y, x
                 candidates.append(("p1inv", repr(x), repr(y.inv())))
     names = [n for n, _ in K.faces]

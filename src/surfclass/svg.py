@@ -52,8 +52,3 @@ def render_svg(scene: Scene) -> str:
         'stroke-linecap="round">\n'
     )
     return header + "\n".join(body) + "\n</g>\n</svg>\n"
-
-
-def write_svg(scene: Scene, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_svg(scene))

@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from surfclass.cellcomplex import (
-    BORDER,
-    INNER,
-    NULL,
-    brute_force_orientable,
-    build,
-)
+from surfclass.cellcomplex import BORDER, INNER, NULL, build
 from surfclass.edgeword import parse_word, sym
 from surfclass.errors import (
     DisconnectedError,
@@ -19,6 +13,25 @@ from surfclass.rewrite import NormalForm, make_canonical, scramble
 
 TORUS = {"A": "a b a' b'"}
 CELLFIG = {"A": "a b c", "B": "b e d'", "C": "a d f'"}
+
+
+def brute_force_orientable(K):
+    """Exhaustive check over all orientation choices (oracle)."""
+    n = len(K.faces)
+    if n > 16:
+        raise ValueError("too many faces for brute force")
+    inner = [occ for occ in K.edge_occurrences.values() if len(occ) == 2]
+    for mask in range(1 << n):
+        ok = True
+        for (f1, _, s1), (f2, _, s2) in inner:
+            sign1 = s1 * (-1 if mask >> f1 & 1 else 1)
+            sign2 = s2 * (-1 if mask >> f2 & 1 else 1)
+            if sign1 == sign2:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
 
 
 def members_cycle_eq(got, want):

@@ -186,3 +186,50 @@ def test_identical_argv_identical_stdout(files, capsys):
     first = capsys.readouterr().out
     run(["classify", path, "--json"])
     assert capsys.readouterr().out == first
+
+
+def one_coded_line(err, code):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(code + ": "), err
+    assert "Traceback" not in err
+
+
+def test_winding_too_few_points(files, capsys):
+    write, _ = files
+    assert run(["winding", write("two.pts", "0,0\n1,0\n"), "--point", "0.5,0.5"]) == 1
+    one_coded_line(capsys.readouterr().err, "E_DEGENERATE_GEOMETRY")
+
+
+def test_winding_repeated_points(files, capsys):
+    write, _ = files
+    curve = write("rep.pts", "0,0\n1,0\n1,0\n0,1\n")
+    assert run(["winding", curve, "--point", "0.2,0.2"]) == 1
+    one_coded_line(capsys.readouterr().err, "E_DEGENERATE_GEOMETRY")
+
+
+def test_winding_non_finite_point(files, capsys):
+    write, _ = files
+    square = write("sq.pts", "0,0\n1,0\n1,1\n0,1\n")
+    assert run(["winding", square, "--point", "nan,0.5"]) == 2
+    one_coded_line(capsys.readouterr().err, "E_USAGE")
+
+
+def test_fractal_render_repeated_seed_points(files, capsys):
+    write, tmp = files
+    seed = write("seed.pts", "0,0\n0.5,0.5\n0.5,0.5\n")
+    assert run([
+        "fractal-render", "--preset", "sierpinski-gasket", "--iters", "1",
+        "--seed-file", seed, "--out", str(tmp / "g.svg"),
+    ]) == 1
+    one_coded_line(capsys.readouterr().err, "E_DEGENERATE_GEOMETRY")
+
+
+@pytest.mark.parametrize("bad", ["nan,1", "1,inf", "-inf,0"])
+def test_hausdorff_rejects_non_finite(files, capsys, bad):
+    write, _ = files
+    a = write("a.pts", f"0,0\n{bad}\n")
+    b = write("b.pts", "0,1\n")
+    assert run(["hausdorff", a, b]) == 2
+    err = capsys.readouterr().err
+    one_coded_line(err, "E_FILE_FORMAT")
+    assert "line 2" in err
