@@ -105,23 +105,6 @@ class CellComplex:
     def inner_edges(self) -> tuple:
         return tuple(e for e in self.edges if len(self.edge_occurrences[e]) == 2)
 
-    # -- successor structure (raw material for vertex classes) ----------
-
-    def successors(self) -> dict:
-        """Map each oriented symbol to its set of cyclic successors.
-
-        Successors are collected over every chosen face word and its
-        inverse word; the set has one element for a border symbol and
-        up to two for an inner symbol (duplicates collapse).
-        """
-        succ: dict = {}
-        for _, w in self.faces:
-            for word in (w, inverse_word(w)):
-                n = len(word)
-                for i, s in enumerate(word):
-                    succ.setdefault(s, set()).add(word[(i + 1) % n])
-        return succ
-
     # -- vertices via the end graph -------------------------------------
 
     @cached_property

@@ -1,8 +1,8 @@
 """Top-level surface classification.
 
-Given a valid cell complex, computes the invariant triple
-(orientability, contour count, Euler characteristic), normalizes to
-canonical form, cross-checks the two, and derives the surface name,
+Given a valid cell complex, normalizes it to canonical form (which
+``normalize`` checks against the invariant triple: orientability,
+contour count, Euler characteristic) and derives the surface name,
 genus, fundamental-group presentation and first homology group.
 """
 
@@ -11,10 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cellcomplex import CellComplex
-from .edgeword import EdgeSym, Word, format_word
-from .errors import BorderedNotSupportedError, InfeasibleInvariantsError, InternalInvariantViolation
+from .edgeword import Word, format_word
+from .errors import BorderedNotSupportedError
 from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, group_format
-from .rewrite import TYPE_I, TYPE_II, NormalForm, canonical_word, normalize
+from .rewrite import (
+    TYPE_I,
+    NormalForm,
+    canonical_word,
+    normal_form_from_invariants,
+    normalize,
+)
 
 
 @dataclass(frozen=True)
@@ -32,25 +38,6 @@ class SurfaceClass:
 class Presentation:
     generators: tuple  # generator names
     relators: tuple    # zero (free group) or one Word over the generators
-
-
-def normal_form_from_invariants(orientable: bool, q: int, euler: int) -> NormalForm:
-    """Solve 2 - 2p - q = chi (type I) or 2 - p - q = chi (type II)."""
-    if q < 0:
-        raise InfeasibleInvariantsError(f"negative contour count {q}")
-    if orientable:
-        g2 = 2 - euler - q
-        if g2 < 0 or g2 % 2:
-            raise InfeasibleInvariantsError(
-                f"(orientable, q={q}, chi={euler}) is not a surface signature"
-            )
-        return NormalForm(TYPE_I, g2 // 2, q)
-    p = 2 - euler - q
-    if p < 1:
-        raise InfeasibleInvariantsError(
-            f"(nonorientable, q={q}, chi={euler}) is not a surface signature"
-        )
-    return NormalForm(TYPE_II, p, q)
 
 
 def surface_name(form: NormalForm) -> str:
@@ -78,30 +65,8 @@ def surface_name(form: NormalForm) -> str:
     return f"nonorientable, genus {p}, {q} boundary circle" + ("s" if q != 1 else "")
 
 
-def genus_of(form: NormalForm) -> int:
-    return form.p
-
-
 def classify(K: CellComplex) -> SurfaceClass:
-    report = K.invariant_report()
-    result = normalize(K)
-    predicted = normal_form_from_invariants(
-        report.orientable, report.num_contours, report.euler
-    )
-    if result.normal != predicted:
-        raise InternalInvariantViolation(
-            f"normal form {result.normal} disagrees with invariants {predicted}"
-        )
-    form = result.normal
-    return SurfaceClass(
-        orientable=report.orientable,
-        q=report.num_contours,
-        euler=report.euler,
-        form=form,
-        genus=genus_of(form),
-        name=surface_name(form),
-        canonical_word=result.canonical_word,
-    )
+    return class_from_form(normalize(K).normal)
 
 
 def class_from_form(form: NormalForm) -> SurfaceClass:
@@ -110,7 +75,7 @@ def class_from_form(form: NormalForm) -> SurfaceClass:
         q=form.q,
         euler=form.euler(),
         form=form,
-        genus=genus_of(form),
+        genus=form.p,
         name=surface_name(form),
         canonical_word=canonical_word(form),
     )
@@ -130,16 +95,7 @@ def fundamental_group(form: NormalForm) -> Presentation:
     else:
         gens = [f"a{i}" for i in range(1, p + 1)]
     if q == 0:
-        relator = []
-        if form.kind == TYPE_I:
-            for i in range(1, p + 1):
-                a, b = EdgeSym(f"a{i}", 1), EdgeSym(f"b{i}", 1)
-                relator += [a, b, a.inv(), b.inv()]
-        else:
-            for i in range(1, p + 1):
-                a = EdgeSym(f"a{i}", 1)
-                relator += [a, a]
-        return Presentation(tuple(gens), (tuple(relator),))
+        return Presentation(tuple(gens), (canonical_word(form),))
     gens += [f"d{j}" for j in range(1, q)]
     return Presentation(tuple(gens), ())
 

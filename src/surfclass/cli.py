@@ -20,7 +20,7 @@ from . import fileio, svg
 from .classify import classify as classify_surface
 from .classify import to_json_dict
 from .edgeword import format_word
-from .errors import FileFormatError, MalformedTokenError, SurfclassError
+from .errors import FileFormatError, MalformedTokenError, NotASurfaceError, SurfclassError
 from .intlinalg import group_format
 from .planegeom import ClosedCurve, hausdorff_distance, ifs_iterate, preset, preset_seed, snowflake, winding_number
 from .rewrite import normalize, scramble
@@ -114,6 +114,13 @@ def _emit(payload: dict, args, out):
 def cmd_classify(args, out):
     kind, obj = _load_surface(args.file)
     if kind == "simplicial":
+        closed = validate_closed_surface(obj)
+        if not closed.ok:
+            bordered = validate_bordered_surface(obj)
+            if not bordered.ok:
+                # a triangulation with border edges is read as bordered
+                report = bordered if bordered.border_circles else closed
+                raise NotASurfaceError(report.violations[0])
         obj = to_cell_complex(obj)
     sc = classify_surface(obj)
     payload = to_json_dict(sc)
@@ -194,6 +201,9 @@ def cmd_refine(args, out):
 
 
 def cmd_fractal_render(args, out):
+    if args.iters < 0:
+        print("E_USAGE: --iters must be nonnegative", file=sys.stderr)
+        return 2
     if args.preset == "snowflake":
         scene = snowflake(args.iters)
     else:

@@ -11,7 +11,7 @@ for its inverse.  ``#`` starts a comment running to end of line.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import MalformedTokenError
 
@@ -106,33 +106,27 @@ def rotate(w: Word, k: int) -> Word:
     return w[k:] + w[:k]
 
 
-def rotations(w: Word) -> Iterable[Word]:
-    if not w:
-        yield w
-        return
-    for k in range(len(w)):
-        yield rotate(w, k)
-
-
 def sym_key(s: EdgeSym):
     """Sort key of a symbol: name first, then + before -."""
     return (s.name, 0 if s.sign > 0 else 1)
 
 
-def cyclic_equal(w1: Word, w2: Word) -> bool:
-    """True iff some rotation of w1 equals w2 symbol-for-symbol.
+def inverse_pair_at(w: Word):
+    """Index i of the first cyclically adjacent ``x x'`` pair, or None.
 
-    >>> a, b, c = sym("a"), sym("b"), sym("c")
-    >>> cyclic_equal((a, b, c), (b, c, a))
-    True
-    >>> cyclic_equal((a, b, c), (c, b, a))
-    False
-    >>> cyclic_equal((), ())
+    >>> a, b = sym("a"), sym("b")
+    >>> inverse_pair_at((a, b, sym("b'")))
+    1
+    >>> inverse_pair_at((sym("a'"), b, a))
+    2
+    >>> inverse_pair_at((a, a)) is None
     True
     """
-    if len(w1) != len(w2):
-        return False
-    return any(r == w2 for r in rotations(w1))
+    n = len(w)
+    for i in range(n):
+        if w[(i + 1) % n] == w[i].inv():
+            return i
+    return None
 
 
 def cyclic_canonical(w: Word) -> Word:

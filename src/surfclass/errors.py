@@ -95,6 +95,12 @@ class DegenerateTriangleError(SurfclassError):
     code = "E_DEGENERATE_TRIANGLE"
 
 
+class NotASurfaceError(SurfclassError):
+    """A triangulation that fails both the closed and bordered checks."""
+
+    code = "E_NOT_A_SURFACE"
+
+
 # --- classification --------------------------------------------------------
 
 class InfeasibleInvariantsError(SurfclassError):

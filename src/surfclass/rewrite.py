@@ -24,11 +24,21 @@ import re
 from dataclasses import dataclass
 
 from .cellcomplex import BORDER, INNER, CellComplex, Vertex, build
-from .edgeword import EdgeSym, Word, format_word, inverse_word, rotate, sym, sym_key
+from .edgeword import (
+    EdgeSym,
+    Word,
+    format_word,
+    inverse_pair_at,
+    inverse_word,
+    rotate,
+    sym,
+    sym_key,
+)
 from .errors import (
     BadPositionError,
     EdgeNotFoundError,
     FaceNotFoundError,
+    InfeasibleInvariantsError,
     InternalInvariantViolation,
     NameCollisionError,
     NotContractibleError,
@@ -136,16 +146,17 @@ def _rebuild(K: CellComplex, faces: dict) -> CellComplex:
     return out
 
 
-def _subst_p1(w: Word, a: str, b: str, c: str) -> Word:
+def _subst_p1(w: Word, split: dict) -> Word:
+    """Replace each edge ``a`` of ``split`` (a -> (b, c)) by ``b c``."""
     out = []
     for s in w:
-        if s.name == a:
-            if s.sign > 0:
-                out += [EdgeSym(b, 1), EdgeSym(c, 1)]
-            else:
-                out += [EdgeSym(c, -1), EdgeSym(b, -1)]
-        else:
+        bc = split.get(s.name)
+        if bc is None:
             out.append(s)
+        elif s.sign > 0:
+            out += [EdgeSym(bc[0], 1), EdgeSym(bc[1], 1)]
+        else:
+            out += [EdgeSym(bc[1], -1), EdgeSym(bc[0], -1)]
     return tuple(out)
 
 
@@ -155,7 +166,7 @@ def apply_p1(K: CellComplex, edge: str, b: str, c: str) -> CellComplex:
         raise EdgeNotFoundError(f"no edge {edge!r}")
     if b == c or b in K.edges or c in K.edges:
         raise NameCollisionError(f"names {b!r}, {c!r} must be fresh and distinct")
-    faces = {n: _subst_p1(w, edge, b, c) for n, w in K.faces}
+    faces = {n: _subst_p1(w, {edge: (b, c)}) for n, w in K.faces}
     return _rebuild(K, faces)
 
 
@@ -300,7 +311,34 @@ def make_canonical(form: NormalForm) -> CellComplex:
     return build({"A": canonical_word(form)})
 
 
-def _parse_blocks(w: Word, border: set):
+# block patterns of a canonical word, each read at w[i] cyclically
+
+
+def _is_crosscap(w: Word, i: int, border) -> bool:
+    """``x x`` over an inner edge."""
+    return w[(i + 1) % len(w)] == w[i] and w[i].name not in border
+
+
+def _is_handle(w: Word, i: int, border) -> bool:
+    """``x y x' y'`` over two distinct inner edges."""
+    n = len(w)
+    x, y = w[i], w[(i + 1) % n]
+    return (
+        w[(i + 2) % n] == x.inv()
+        and w[(i + 3) % n] == y.inv()
+        and x.name != y.name
+        and x.name not in border
+        and y.name not in border
+    )
+
+
+def _is_loop(w: Word, i: int, border) -> bool:
+    """``c h c'`` around a border edge h."""
+    n = len(w)
+    return w[(i + 1) % n].name in border and w[(i + 2) % n] == w[i].inv()
+
+
+def _parse_blocks(w: Word, border):
     """Parse a word into (crosscaps, handles, loops) blocks.
 
     Succeeds only for a clean run of non-loop blocks followed by a run
@@ -309,69 +347,66 @@ def _parse_blocks(w: Word, border: set):
     crosscaps, handles, loops = [], [], []
     i, n = 0, len(w)
     while i < n:
-        s = w[i]
-        if i + 1 < n and w[i + 1] == s and s.name not in border:
+        if i + 1 < n and _is_crosscap(w, i, border):
             if loops:
                 return None
-            crosscaps.append(s)
+            crosscaps.append(w[i])
             i += 2
-        elif i + 2 < n and w[i + 2] == s.inv() and w[i + 1].name in border:
-            loops.append((s, w[i + 1]))
+        elif i + 2 < n and _is_loop(w, i, border):
+            loops.append((w[i], w[i + 1]))
             i += 3
-        elif (
-            i + 3 < n
-            and w[i + 2] == s.inv()
-            and w[i + 3] == w[i + 1].inv()
-            and w[i + 1].name != s.name
-            and s.name not in border
-            and w[i + 1].name not in border
-        ):
+        elif i + 3 < n and _is_handle(w, i, border):
             if loops:
                 return None
-            handles.append((s, w[i + 1]))
+            handles.append((w[i], w[i + 1]))
             i += 4
         else:
             return None
     return crosscaps, handles, loops
 
 
+def _read_canonical(w: Word, border):
+    """(rotated word, form, blocks) for the first rotation of w made of
+    cross-caps or handles followed by loops; None if there is none."""
+    for r in range(len(w) or 1):  # the empty word is its own one rotation
+        rot = rotate(w, r)
+        blocks = _parse_blocks(rot, border)
+        if blocks is None or (blocks[0] and blocks[1]):
+            continue
+        crosscaps, handles, loops = blocks
+        if crosscaps:
+            return rot, NormalForm(TYPE_II, len(crosscaps), len(loops)), blocks
+        return rot, NormalForm(TYPE_I, len(handles), len(loops)), blocks
+    return None
+
+
 def is_canonical(K: CellComplex):
     """NormalForm if K is one face matching a canonical pattern, else None."""
     if len(K.faces) != 1:
         return None
-    w = K.faces[0][1]
-    if not w:
-        return NormalForm(TYPE_I, 0, 0)
-    border = {e for e, o in K.edge_occurrences.items() if len(o) == 1}
-    for r in range(len(w)):
-        parsed = _parse_blocks(rotate(w, r), border)
-        if parsed is None:
-            continue
-        crosscaps, handles, loops = parsed
-        if crosscaps and handles:
-            continue
-        if crosscaps:
-            return NormalForm(TYPE_II, len(crosscaps), len(loops))
-        return NormalForm(TYPE_I, len(handles), len(loops))
-    return None
+    got = _read_canonical(K.faces[0][1], set(K.border_edges()))
+    return None if got is None else got[1]
 
 
 # ---------------------------------------------------------------------------
 # normalization
 
 
-def _predict(orientable: bool, q: int, chi: int) -> NormalForm:
+def normal_form_from_invariants(orientable: bool, q: int, euler: int) -> NormalForm:
+    """Solve 2 - 2p - q = chi (type I) or 2 - p - q = chi (type II)."""
+    if q < 0:
+        raise InfeasibleInvariantsError(f"negative contour count {q}")
     if orientable:
-        g2 = 2 - chi - q
-        if g2 % 2 or g2 < 0:
-            raise InternalInvariantViolation(
-                f"infeasible invariants (orientable, q={q}, chi={chi})"
+        g2 = 2 - euler - q
+        if g2 < 0 or g2 % 2:
+            raise InfeasibleInvariantsError(
+                f"(orientable, q={q}, chi={euler}) is not a surface signature"
             )
         return NormalForm(TYPE_I, g2 // 2, q)
-    p = 2 - chi - q
+    p = 2 - euler - q
     if p < 1:
-        raise InternalInvariantViolation(
-            f"infeasible invariants (nonorientable, q={q}, chi={chi})"
+        raise InfeasibleInvariantsError(
+            f"(nonorientable, q={q}, chi={euler}) is not a surface signature"
         )
     return NormalForm(TYPE_II, p, q)
 
@@ -443,28 +478,17 @@ class _Rewriter:
     # -- step 1: cancel a a' ------------------------------------------------
 
     def sweep_cancel(self):
-        changed = True
-        while changed:
-            changed = False
-            for name in list(self.faces):
+        # faces are independent: clearing them in order cancels the same
+        # pairs, in the same order, as rescanning from the first face
+        for name in list(self.faces):
+            while (i := inverse_pair_at(self.faces[name])) is not None:
                 w = self.faces[name]
-                n = len(w)
-                if n < 2:
-                    continue
-                for i in range(n):
-                    if w[(i + 1) % n] == w[i].inv():
-                        rot = rotate(w, i)  # pair now at positions 0, 1
-                        self.mutate(
-                            {name: rot[2:]},
-                            "composite",
-                            "cancel_inverse_pair",
-                            (repr(w[i]),),
-                        )
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
+                self.mutate(
+                    {name: rotate(w, i)[2:]},
+                    "composite",
+                    "cancel_inverse_pair",
+                    (repr(w[i]),),
+                )
                 self.spend("cancellation sweep")
 
     # -- vertex views ---------------------------------------------------------
@@ -610,10 +634,11 @@ class _Rewriter:
             (name, len(w), d),
         )
         x, y = self.fresh_edge(), self.fresh_edge()
+        split = {d: (x, y)}
         self.mutate(
             {
-                name: _subst_p1(self.faces[name], d, x, y),
-                lune: _subst_p1(self.faces[lune], d, x, y),
+                name: _subst_p1(self.faces[name], split),
+                lune: _subst_p1(self.faces[lune], split),
             },
             "P1",
             "",
@@ -781,40 +806,18 @@ class _Rewriter:
                 (a, e, c.name, d.name),
             )
 
-    @staticmethod
-    def _find_crosscap(w: Word, border: set):
-        n = len(w)
-        for i in range(n):
-            if n >= 2 and w[(i + 1) % n] == w[i] and w[i].name not in border:
-                return i
-        return None
-
-    @staticmethod
-    def _find_handle(w: Word, border: set, lo: int = 0):
-        for i in range(lo, len(w) - 3):
-            if (
-                w[i + 2] == w[i].inv()
-                and w[i + 3] == w[i + 1].inv()
-                and w[i].name != w[i + 1].name
-                and w[i].name not in border
-                and w[i + 1].name not in border
-            ):
-                return i
-        return None
-
     def convert_mixed(self, finished: set):
         name = self.single_name()
         while True:
             self.spend("mixed conversion")
             w = self.faces[name]
-            border = {
-                e for e, o in self.complex().edge_occurrences.items() if len(o) == 1
-            }
-            ci = self._find_crosscap(w, border)
+            n = len(w)
+            border = set(self.complex().border_edges())
+            ci = next((i for i in range(n) if _is_crosscap(w, i, border)), None)
             if ci is None:
                 return
             rot = rotate(w, ci)
-            hi = self._find_handle(rot, border, lo=2)
+            hi = next((i for i in range(2, n - 3) if _is_handle(rot, i, border)), None)
             if hi is None:
                 return
             x, y = rot[2:hi], rot[hi + 4:]
@@ -829,24 +832,14 @@ class _Rewriter:
                 (repr(rot[0]), repr(rot[hi]), repr(rot[hi + 1])),
             )
 
-    def _loop_starts(self, w: Word, border: set) -> list:
-        n = len(w)
-        return [
-            i
-            for i in range(n)
-            if w[(i + 1) % n].name in border and w[(i + 2) % n] == w[i].inv()
-        ]
-
     def group_loops(self):
         name = self.single_name()
         while True:
             self.spend("loop grouping")
             w = self.faces[name]
             n = len(w)
-            border = {
-                e for e, o in self.complex().edge_occurrences.items() if len(o) == 1
-            }
-            starts = sorted(self._loop_starts(w, border))
+            border = set(self.complex().border_edges())
+            starts = [i for i in range(n) if _is_loop(w, i, border)]
             if len(starts) != len(border):
                 raise InternalInvariantViolation("a loop lost its shape")
             if len(starts) <= 1:
@@ -884,66 +877,45 @@ class _Rewriter:
     # -- final assembly --------------------------------------------------------
 
     def assemble(self) -> NormalizationResult:
-        predicted = _predict(*self.expected)
+        """Relabel the blocks of the single face as a1 b1 ... c1 h1 c1' ..."""
         name = self.single_name()
         w = self.faces[name]
-        if not w:
-            return self.finish(NormalForm(TYPE_I, 0, 0))
-        border = {e for e, o in self.complex().edge_occurrences.items() if len(o) == 1}
-        parsed = None
-        for r in range(len(w)):
-            got = _parse_blocks(rotate(w, r), border)
-            if got is not None and not (got[0] and got[1]):
-                parsed = (r,) + got
-                break
-        if parsed is None:
+        got = _read_canonical(w, set(self.complex().border_edges()))
+        if got is None:
             raise InternalInvariantViolation(
                 f"final word is not canonical: {format_word(w)}"
             )
-        r, crosscaps, handles, loops = parsed
-        if crosscaps:
-            got_form = NormalForm(TYPE_II, len(crosscaps), len(loops))
-        else:
-            got_form = NormalForm(TYPE_I, len(handles), len(loops))
-        if got_form != predicted:
-            raise InternalInvariantViolation(
-                f"normalized to {got_form}, invariants predict {predicted}"
-            )
-        rot = rotate(w, r)
-        mapping = {}
-        if crosscaps:
-            for i, s in enumerate(crosscaps, start=1):
-                mapping[s] = EdgeSym(f"a{i}", 1)
-        else:
-            for i, (s, t) in enumerate(handles, start=1):
-                mapping[s] = EdgeSym(f"a{i}", 1)
-                mapping[t] = EdgeSym(f"b{i}", 1)
+        rot, form, (crosscaps, handles, loops) = got
+        new = {}
+        for i, s in enumerate(crosscaps, start=1):
+            new[s] = f"a{i}"
+        for i, (s, t) in enumerate(handles, start=1):
+            new[s], new[t] = f"a{i}", f"b{i}"
         for j, (s, t) in enumerate(loops, start=1):
-            mapping[s] = EdgeSym(f"c{j}", 1)
-            mapping[t] = EdgeSym(f"h{j}", 1)
-        full = {}
-        for old, new in mapping.items():
-            full[old] = new
-            full[old.inv()] = new.inv()
-        relabeled = tuple(full[s] for s in rot)
-        if relabeled != canonical_word(got_form):
-            raise InternalInvariantViolation(
-                f"relabeled word {format_word(relabeled)} is not canonical"
-            )
+            new[s], new[t] = f"c{j}", f"h{j}"
+        relabeled = tuple(
+            EdgeSym(new[s], 1) if s in new else EdgeSym(new[s.inv()], -1) for s in rot
+        )
         self.mutate({name: relabeled}, "composite", "canonical_relabel", ())
-        return self.finish(got_form)
+        return self.finish(form)
 
     def finish(self, form: NormalForm) -> NormalizationResult:
+        """Every exit: the invariants must predict ``form`` and the last
+        face must be named A and read exactly ``canonical_word(form)``."""
+        predicted = normal_form_from_invariants(*self.expected)
+        if form != predicted:
+            raise InternalInvariantViolation(
+                f"normalized to {form}, invariants predict {predicted}"
+            )
         name = self.single_name()
         if name != "A":
             self.mutate(
                 {name: None, "A": self.faces[name]}, "composite", "rename_face", (name,)
             )
         K = self.complex()
-        check = is_canonical(K)
-        if check != form:
+        if K.faces != (("A", canonical_word(form)),):
             raise InternalInvariantViolation(
-                f"final complex parses as {check}, expected {form}"
+                f"final complex {K.describe()} is not canonical for {form}"
             )
         return NormalizationResult(
             normal=form,

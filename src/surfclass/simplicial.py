@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cellcomplex import CellComplex, build as build_complex
-from .edgeword import EdgeSym
+from .edgeword import EdgeSym, inverse_pair_at, rotate
 from .errors import DegenerateTriangleError, InternalInvariantViolation
 from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, rank, smith_normal_form
 from .rewrite import _fresh_start, _split_face, _subst_p1
@@ -79,61 +79,57 @@ def _edge_triangles(K: SimplicialComplex2) -> dict:
     return out
 
 
+def _count_components(adj: dict) -> int:
+    """Connected components of the graph given as node -> neighbours."""
+    seen = set()
+    count = 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return count
+
+
+def _graph(nodes, edges) -> dict:
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return adj
+
+
 def _is_connected(K: SimplicialComplex2) -> bool:
-    if not K.triangles:
-        return False
-    adj = {v: set() for v in K.vertices}
-    for a, b in K.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {K.vertices[0]}
-    stack = [K.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(K.vertices)
+    return bool(K.triangles) and _count_components(_graph(K.vertices, K.edges)) == 1
 
 
-def _vertex_fans(K: SimplicialComplex2):
+def _vertex_fans(K: SimplicialComplex2) -> dict:
     """For each vertex: the graph on incident edges, linked by incident triangles."""
-    incident_edges: dict = {v: [] for v in K.vertices}
+    fans: dict = {v: {} for v in K.vertices}
     for e in K.edges:
-        incident_edges[e[0]].append(e)
-        incident_edges[e[1]].append(e)
-    et = _edge_triangles(K)
-    fans = {}
-    for v in K.vertices:
-        # nodes: incident edges; connect two edges sharing a triangle at v
-        links: dict = {e: [] for e in incident_edges[v]}
-        for t in K.triangles:
-            if v not in t:
-                continue
+        fans[e[0]][e] = []
+        fans[e[1]][e] = []
+    for t in K.triangles:
+        for v in t:
+            # connect the two edges of t that meet at v
             others = [u for u in t if u != v]
             e1 = tuple(sorted((v, others[0])))
             e2 = tuple(sorted((v, others[1])))
-            links[e1].append(e2)
-            links[e2].append(e1)
-        fans[v] = links
-    return fans, et
+            fans[v][e1].append(e2)
+            fans[v][e2].append(e1)
+    return fans
 
 
 def _fan_shape(links: dict):
     """Classify one vertex fan: 'cycle', 'path', or 'bad'."""
     degs = sorted(len(v) for v in links.values())
-    nodes = list(links)
-    # connectivity of the fan graph
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        x = stack.pop()
-        for y in links[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != len(nodes):
+    if _count_components(links) != 1:
         return "bad"
     if all(d == 2 for d in degs):
         return "cycle"
@@ -150,8 +146,7 @@ def validate_closed_surface(K: SimplicialComplex2) -> ValidationReport:
     for e, ts in et.items():
         if len(ts) != 2:
             violations.append(f"D1: edge {e} lies in {len(ts)} triangles, expected 2")
-    fans, _ = _vertex_fans(K)
-    for v, links in fans.items():
+    for v, links in _vertex_fans(K).items():
         if not links:
             violations.append(f"D2: vertex {v} has no incident edges")
             continue
@@ -179,8 +174,7 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
         elif len(ts) != 2:
             violations.append(f"D1: edge {e} lies in {len(ts)} triangles")
     border_vertices = {v for e in border_edges for v in e}
-    fans, _ = _vertex_fans(K)
-    for v, links in fans.items():
+    for v, links in _vertex_fans(K).items():
         if not links:
             violations.append(f"D2: vertex {v} has no incident edges")
             continue
@@ -197,32 +191,10 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
             violations.append(f"D2: interior vertex {v} fan is not a single cycle")
     if not _is_connected(K):
         violations.append("D4: complex is not connected")
-    circles = _count_border_circles(border_edges)
+    circles = _count_components(_graph((), border_edges))
     return ValidationReport(
         ok=not violations, violations=tuple(violations), border_circles=circles
     )
-
-
-def _count_border_circles(border_edges) -> int:
-    adj: dict = {}
-    for a, b in border_edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = set()
-    circles = 0
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        circles += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return circles
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +238,16 @@ def homology(K: SimplicialComplex2):
     return h0, h1, h2
 
 
-def euler_simplicial(K: SimplicialComplex2) -> int:
-    """V - E + T; checked against the alternating sum of Betti numbers."""
-    nv, ne, nt = K.counts()
-    chi = nv - ne + nt
-    h0, h1, h2 = homology(K)
-    if chi != h0.free_rank - h1.free_rank + h2.free_rank:
-        raise InternalInvariantViolation("counting chi != Betti alternating sum")
-    return chi
-
-
 # ---------------------------------------------------------------------------
 # refinement of a cell complex into a triangulation
 
 
 def _bulk_split_all_edges(faces: dict, counter: list) -> dict:
+    split = {}
     for e in sorted({s.name for w in faces.values() for s in w}):
-        b, c = f"_g{counter[0]}", f"_g{counter[0] + 1}"
+        split[e] = (f"_g{counter[0]}", f"_g{counter[0] + 1}")
         counter[0] += 2
-        faces = {n: _subst_p1(w, e, b, c) for n, w in faces.items()}
-    return faces
+    return {n: _subst_p1(w, split) for n, w in faces.items()}
 
 
 def _bulk_star_faces(faces: dict, counter: list) -> dict:
@@ -337,23 +299,12 @@ def _cancel_inverse_pairs(faces: dict) -> dict:
     edges whose subdivisions never become vertex-faithful; cancelling
     first is an equivalence and removes the obstruction.
     """
-    faces = dict(faces)
-    changed = True
-    while changed:
-        changed = False
-        for name, w in faces.items():
-            n = len(w)
-            if n < 2:
-                continue
-            for i in range(n):
-                if w[(i + 1) % n] == w[i].inv():
-                    rot = w[i:] + w[:i]
-                    faces[name] = rot[2:]
-                    changed = True
-                    break
-            if changed:
-                break
-    return faces
+    out = {}
+    for name, w in faces.items():
+        while (i := inverse_pair_at(w)) is not None:
+            w = rotate(w, i)[2:]
+        out[name] = w
+    return out
 
 
 def _corner_triples(refined: CellComplex):

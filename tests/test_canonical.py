@@ -120,3 +120,16 @@ def test_rebuild_rejects_a_change_of_invariants():
     K = build({"A": "a b a' b'"})
     with pytest.raises(InternalInvariantViolation):
         _rebuild(K, {"A": build({"A": "a a b b"}).faces[0][1]})
+
+
+def test_finish_rejects_a_form_the_invariants_do_not_predict():
+    rw = _Rewriter(make_canonical(NormalForm(TYPE_I, 1, 0)))
+    with pytest.raises(InternalInvariantViolation):
+        rw.finish(NormalForm(TYPE_I, 2, 0))
+
+
+def test_finish_rejects_a_word_that_is_not_exactly_canonical():
+    # a torus, but not spelled a1 b1 a1' b1'
+    rw = _Rewriter(build({"A": "a b a' b'"}))
+    with pytest.raises(InternalInvariantViolation):
+        rw.finish(NormalForm(TYPE_I, 1, 0))

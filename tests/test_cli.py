@@ -1,8 +1,11 @@
 import json
+import re
 
 import pytest
 
 from surfclass.cli import run
+from surfclass.rewrite import NormalForm, make_canonical
+from surfclass.simplicial import refine_to_triangulation
 
 TORUS_CC = "# opposite sides identified\nsurface torus\nface A : a b a' b'\n"
 BAD_CC = "face A : a a a\n"
@@ -233,3 +236,50 @@ def test_hausdorff_rejects_non_finite(files, capsys, bad):
     err = capsys.readouterr().err
     one_coded_line(err, "E_FILE_FORMAT")
     assert "line 2" in err
+
+
+def test_fractal_render_rejects_negative_iters(files, capsys):
+    _, tmp = files
+    out_path = str(tmp / "g.svg")
+    assert run(["fractal-render", "--preset", "koch", "--iters", "-1", "--out", out_path]) == 2
+    one_coded_line(capsys.readouterr().err, "E_USAGE")
+    assert not (tmp / "g.svg").exists()
+
+
+def pinched_genus_two():
+    """A genus-2 triangulation with two far-apart vertices glued together."""
+    _, simp = refine_to_triangulation(make_canonical(NormalForm("I", 2, 0)))
+    near = {v: {v} for v in simp.vertices}
+    for a, b in simp.edges:
+        near[a].add(b)
+        near[b].add(a)
+    u = simp.vertices[0]
+    within_two = set().union(*(near[x] for x in near[u]))
+    w = next(v for v in simp.vertices if v not in within_two)
+    return "".join(
+        "triangle " + " ".join(u if x == w else x for x in t) + "\n"
+        for t in simp.triangles
+    ), u
+
+
+def test_classify_pinched_triangulation_is_not_a_surface(files, capsys):
+    write, _ = files
+    text, glued = pinched_genus_two()
+    path = write("pinched.tri", text)
+    assert run(["homology", path]) == 0  # the pinched space itself
+    assert "H1: Z^5" in capsys.readouterr().out
+    assert run(["classify", path]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    one_coded_line(cap.err, "E_NOT_A_SURFACE")
+    assert f"vertex {glued} " in cap.err
+
+
+def test_classify_edge_in_three_triangles_names_user_vertices(files, capsys):
+    write, _ = files
+    path = write("fin.tri", "triangle a b c\ntriangle a b d\ntriangle a b x\n")
+    assert run(["classify", path]) == 1
+    err = capsys.readouterr().err
+    one_coded_line(err, "E_NOT_A_SURFACE")
+    assert "('a', 'b') lies in 3 triangles" in err
+    assert not re.search(r"\be\d+\b", err)

@@ -4,14 +4,15 @@ from hypothesis import given, strategies as st
 from surfclass.edgeword import (
     EdgeSym,
     cyclic_canonical,
-    cyclic_equal,
     format_word,
+    inverse_pair_at,
     inverse_word,
     parse_word,
     rotate,
     sym,
 )
 from surfclass.errors import MalformedTokenError
+from wordutil import cyclic_equal
 
 
 def W(text):
@@ -92,10 +93,12 @@ def test_sym_accepts_generated_names():
     assert sym("_g12'") == EdgeSym("_g12", -1)
 
 
-def test_doctests():
-    import doctest
+# two names make x x' pairs common
+few_syms = st.builds(EdgeSym, st.sampled_from(["a", "b"]), st.sampled_from([1, -1]))
 
-    import surfclass.edgeword as mod
 
-    failures, _ = doctest.testmod(mod)
-    assert failures == 0
+@given(st.lists(few_syms, max_size=6).map(tuple))
+def test_inverse_pair_at_matches_brute_force(w):
+    closed = w + w[:1]  # the last letter is followed by the first
+    pairs = [i for i in range(len(w)) if closed[i + 1] == closed[i].inv()]
+    assert inverse_pair_at(w) == (pairs[0] if pairs else None)

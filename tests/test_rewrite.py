@@ -3,7 +3,7 @@ import random
 import pytest
 
 from surfclass.cellcomplex import build
-from surfclass.edgeword import cyclic_equal, format_word, parse_word
+from surfclass.edgeword import format_word, parse_word
 from surfclass.errors import (
     BadPositionError,
     NameCollisionError,
@@ -25,6 +25,7 @@ from surfclass.rewrite import (
     replay_trace,
     scramble,
 )
+from wordutil import cyclic_equal
 
 TORUS = {"A": "a b a' b'"}
 

@@ -9,7 +9,6 @@ from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, scram
 from surfclass.simplicial import (
     boundary_matrices,
     build_simplicial,
-    euler_simplicial,
     homology,
     refine_to_triangulation,
     to_cell_complex,
@@ -22,6 +21,15 @@ Z2 = FgAbelianGroup(2, ())
 ZMOD2 = FgAbelianGroup(0, (2,))
 Z_PLUS_ZMOD2 = FgAbelianGroup(1, (2,))
 TRIVIAL = FgAbelianGroup(0, ())
+
+
+def euler_simplicial(K):
+    """V - E + T; checked against the alternating sum of Betti numbers."""
+    nv, ne, nt = K.counts()
+    chi = nv - ne + nt
+    h0, h1, h2 = homology(K)
+    assert chi == h0.free_rank - h1.free_rank + h2.free_rank
+    return chi
 
 
 def test_build_closure():
@@ -53,6 +61,17 @@ def test_validate_bordered():
     pinch = build_simplicial([("a", "b", "c"), ("a", "d", "e")])
     rep = validate_bordered_surface(pinch)
     assert not rep.ok and any("D3" in v for v in rep.violations)
+
+
+def test_validators_count_components(figure_triangulations):
+    tet = figure_triangulations["sphere"]
+    two = build_simplicial(tet + [tuple(v.upper() for v in t) for t in tet])
+    assert "D3: complex is not connected" in validate_closed_surface(two).violations
+    assert "D4: complex is not connected" in validate_bordered_surface(two).violations
+    for q in (1, 2, 3):
+        _, simp = refine_to_triangulation(make_canonical(NormalForm(TYPE_I, 1, q)))
+        rep = validate_bordered_surface(simp)
+        assert rep.ok and rep.border_circles == q
 
 
 def test_boundary_matrix_columns():
