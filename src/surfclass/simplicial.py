@@ -20,7 +20,8 @@ from functools import cached_property
 from .cellcomplex import CellComplex, build as build_complex
 from .edgeword import EdgeSym, inverse_pair_at, rotate
 from .errors import DegenerateTriangleError, InternalInvariantViolation
-from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, rank, smith_normal_form
+from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, smith_normal_form
+from .intlinalg import rank  # noqa: F401 - surfbench/spans.py wraps simplicial.rank
 from .rewrite import _fresh_start, _split_face, _subst_p1
 
 
@@ -39,6 +40,39 @@ class SimplicialComplex2:
 
     def counts(self):
         return len(self.vertices), len(self.edges), len(self.triangles)
+
+    # the validators' shared views, computed once per complex
+
+    @cached_property
+    def edge_triangles(self) -> dict:
+        """Edge -> the triangles that contain it."""
+        out = {e: [] for e in self.edges}
+        for t in self.triangles:
+            a, b, c = t
+            for e in ((a, b), (a, c), (b, c)):
+                out[e].append(t)
+        return out
+
+    @cached_property
+    def vertex_fans(self) -> dict:
+        """For each vertex: the graph on incident edges, linked by incident triangles."""
+        fans: dict = {v: {} for v in self.vertices}
+        for e in self.edges:
+            fans[e[0]][e] = []
+            fans[e[1]][e] = []
+        for t in self.triangles:
+            for v in t:
+                # connect the two edges of t that meet at v
+                others = [u for u in t if u != v]
+                e1 = tuple(sorted((v, others[0])))
+                e2 = tuple(sorted((v, others[1])))
+                fans[v][e1].append(e2)
+                fans[v][e2].append(e1)
+        return fans
+
+    @cached_property
+    def is_connected(self) -> bool:
+        return bool(self.triangles) and _count_components(_graph(self.vertices, self.edges)) == 1
 
 
 @dataclass(frozen=True)
@@ -70,15 +104,6 @@ def build_simplicial(triangles) -> SimplicialComplex2:
     return SimplicialComplex2(tuple(sorted(verts)), tuple(sorted(tris)))
 
 
-def _edge_triangles(K: SimplicialComplex2) -> dict:
-    out = {e: [] for e in K.edges}
-    for t in K.triangles:
-        a, b, c = t
-        for e in ((a, b), (a, c), (b, c)):
-            out[e].append(t)
-    return out
-
-
 def _count_components(adj: dict) -> int:
     """Connected components of the graph given as node -> neighbours."""
     seen = set()
@@ -105,27 +130,6 @@ def _graph(nodes, edges) -> dict:
     return adj
 
 
-def _is_connected(K: SimplicialComplex2) -> bool:
-    return bool(K.triangles) and _count_components(_graph(K.vertices, K.edges)) == 1
-
-
-def _vertex_fans(K: SimplicialComplex2) -> dict:
-    """For each vertex: the graph on incident edges, linked by incident triangles."""
-    fans: dict = {v: {} for v in K.vertices}
-    for e in K.edges:
-        fans[e[0]][e] = []
-        fans[e[1]][e] = []
-    for t in K.triangles:
-        for v in t:
-            # connect the two edges of t that meet at v
-            others = [u for u in t if u != v]
-            e1 = tuple(sorted((v, others[0])))
-            e2 = tuple(sorted((v, others[1])))
-            fans[v][e1].append(e2)
-            fans[v][e2].append(e1)
-    return fans
-
-
 def _fan_shape(links: dict):
     """Classify one vertex fan: 'cycle', 'path', or 'bad'."""
     degs = sorted(len(v) for v in links.values())
@@ -142,18 +146,17 @@ def validate_closed_surface(K: SimplicialComplex2) -> ValidationReport:
     """Conditions for a closed surface: edges in two triangles, cyclic
     fans with at least three triangles, connected."""
     violations = []
-    et = _edge_triangles(K)
-    for e, ts in et.items():
+    for e, ts in K.edge_triangles.items():
         if len(ts) != 2:
             violations.append(f"D1: edge {e} lies in {len(ts)} triangles, expected 2")
-    for v, links in _vertex_fans(K).items():
+    for v, links in K.vertex_fans.items():
         if not links:
             violations.append(f"D2: vertex {v} has no incident edges")
             continue
         shape = _fan_shape(links)
         if shape != "cycle" or len(links) < 3:
             violations.append(f"D2: vertex {v} fan is not a single cycle (m >= 3)")
-    if not _is_connected(K):
+    if not K.is_connected:
         violations.append("D3: complex is not connected")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
@@ -166,15 +169,14 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
     contained in a single triangle); the interior of the fan alternates
     interior edges and triangles."""
     violations = []
-    et = _edge_triangles(K)
     border_edges = set()
-    for e, ts in et.items():
+    for e, ts in K.edge_triangles.items():
         if len(ts) == 1:
             border_edges.add(e)
         elif len(ts) != 2:
             violations.append(f"D1: edge {e} lies in {len(ts)} triangles")
     border_vertices = {v for e in border_edges for v in e}
-    for v, links in _vertex_fans(K).items():
+    for v, links in K.vertex_fans.items():
         if not links:
             violations.append(f"D2: vertex {v} has no incident edges")
             continue
@@ -189,7 +191,7 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
                 )
         elif shape != "cycle" or len(links) < 3:
             violations.append(f"D2: interior vertex {v} fan is not a single cycle")
-    if not _is_connected(K):
+    if not K.is_connected:
         violations.append("D4: complex is not connected")
     circles = _count_components(_graph((), border_edges))
     return ValidationReport(
@@ -209,30 +211,33 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     """
     v_index = {v: i for i, v in enumerate(K.vertices)}
     e_index = {e: i for i, e in enumerate(K.edges)}
-    d1_rows = [[0] * len(K.edges) for _ in K.vertices]
-    for j, (a, b) in enumerate(K.edges):
-        d1_rows[v_index[a]][j] -= 1
-        d1_rows[v_index[b]][j] += 1
-    d2_rows = [[0] * len(K.triangles) for _ in K.edges]
-    for j, (a, b, c) in enumerate(K.triangles):
-        d2_rows[e_index[(b, c)]][j] += 1
-        d2_rows[e_index[(a, c)]][j] -= 1
-        d2_rows[e_index[(a, b)]][j] += 1
-    d1 = IntMatrix.from_rows(d1_rows) if K.vertices else IntMatrix.zeros(0, 0)
-    d2 = IntMatrix.from_rows(d2_rows) if K.edges else IntMatrix.zeros(0, 0)
+    d1 = IntMatrix.from_columns(
+        len(K.vertices), [((v_index[a], -1), (v_index[b], 1)) for a, b in K.edges]
+    )
+    d2 = IntMatrix.from_columns(
+        len(K.edges),
+        [
+            ((e_index[(b, c)], 1), (e_index[(a, c)], -1), (e_index[(a, b)], 1))
+            for a, b, c in K.triangles
+        ],
+    )
     if not d1.mul(d2).is_zero():
         raise InternalInvariantViolation("boundary of boundary is nonzero")
     return ChainComplexData(K.vertices, K.edges, K.triangles, d1, d2)
 
 
 def homology(K: SimplicialComplex2):
-    """(H0, H1, H2) as finitely generated abelian groups."""
+    """(H0, H1, H2) as finitely generated abelian groups.
+
+    One Smith reduction per boundary matrix: H0 and rank d1 come from
+    the cokernel of d1, H1's torsion and rank d2 from the SNF of d2.
+    """
     data = boundary_matrices(K)
     nv, ne, nt = len(K.vertices), len(K.edges), len(K.triangles)
-    r1 = rank(data.d1)
+    h0 = cokernel(nv, data.d1)
+    r1 = nv - h0.free_rank
     snf2 = smith_normal_form(data.d2)
     r2 = len(snf2)
-    h0 = cokernel(nv, data.d1)
     h1 = FgAbelianGroup(ne - r1 - r2, tuple(t for t in snf2 if t > 1))
     h2 = FgAbelianGroup(nt - r2, ())
     return h0, h1, h2

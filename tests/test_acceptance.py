@@ -13,7 +13,6 @@ from surfclass.edgeword import format_word
 from surfclass.intlinalg import (
     FgAbelianGroup,
     IntMatrix,
-    minor_gcd_invariants,
     smith_normal_form,
 )
 from surfclass.planegeom import (
@@ -42,6 +41,8 @@ from surfclass.simplicial import (
     refine_to_triangulation,
 )
 from surfclass.svg import render_svg
+
+from matrixutil import minor_gcd_invariants
 
 Z = FgAbelianGroup(1, ())
 

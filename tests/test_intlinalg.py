@@ -10,11 +10,11 @@ from surfclass.intlinalg import (
     IntMatrix,
     cokernel,
     group_format,
-    minor_gcd_invariants,
     rank,
-    rational_rank,
     smith_normal_form,
 )
+
+from matrixutil import minor_gcd_invariants, rational_rank
 
 
 def M(rows):
@@ -98,3 +98,59 @@ def test_snf_transpose_and_chain():
         assert f == smith_normal_form(m.transpose())
         for a, b in zip(f, f[1:]):
             assert b % a == 0
+
+
+def dense_matrix(data, r, c, values=small):
+    return [[data.draw(values) for _ in range(c)] for _ in range(r)]
+
+
+def sparse_from_dense(rows, r, c):
+    return IntMatrix.from_columns(r, [[(i, rows[i][j]) for i in range(r)] for j in range(c)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_sparse_storage_matches_dense_reference(r, k, c, data):
+    a = dense_matrix(data, r, k, st.integers(-3, 3))
+    b = dense_matrix(data, k, c, st.integers(-3, 3))
+    A, B = sparse_from_dense(a, r, k), sparse_from_dense(b, k, c)
+    if r:
+        assert M(a) == A
+    assert (A.rows, A.cols) == (r, k)
+    assert A.entries == tuple(x for row in a for x in row)
+    assert A.row_list() == a
+    assert all(A[i, j] == a[i][j] for i in range(r) for j in range(k))
+    at = [[a[i][j] for i in range(r)] for j in range(k)]
+    assert A.transpose() == sparse_from_dense(at, k, r)
+    product = [[sum(a[i][m] * b[m][j] for m in range(k)) for j in range(c)] for i in range(r)]
+    AB = A.mul(B)
+    assert (AB.rows, AB.cols) == (r, c)
+    assert AB.row_list() == product
+    assert AB == sparse_from_dense(product, r, c)
+    assert AB.is_zero() == all(x == 0 for row in product for x in row)
+
+
+def test_sparse_storage_rejects_malformed_columns():
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix(2, 2, (((0, 1),),))
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix(2, 1, (((2, 1),),))
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix(2, 1, (((1, 1), (0, 1)),))
+    with pytest.raises(DimensionMismatchError):
+        IntMatrix(2, 1, (((0, 0),),))
+    with pytest.raises(DimensionMismatchError):
+        M([[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError):
+        M([[1, 2]]).mul(M([[1, 2]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_unit_pivot_queue_matches_minor_gcd_oracle(r, c, data):
+    # mostly zeros and units, so the queue does most of the reduction
+    # and its fill-in decides what the dense residue sees
+    rows = dense_matrix(data, r, c, st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3]))
+    m = M(rows)
+    assert smith_normal_form(m) == minor_gcd_invariants(m)
+    assert rank(m) == rational_rank(m)

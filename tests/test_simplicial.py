@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from surfclass import simplicial
 from surfclass.cellcomplex import build
-from surfclass.errors import DegenerateTriangleError
-from surfclass.intlinalg import FgAbelianGroup
+from surfclass.classify import h1_from_normal_form
+from surfclass.errors import DegenerateTriangleError, InternalInvariantViolation
+from surfclass.intlinalg import FgAbelianGroup, IntMatrix
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, scramble
 from surfclass.simplicial import (
     boundary_matrices,
@@ -95,6 +97,56 @@ def test_boundary_squared_zero_random():
         K = build_simplicial(tris)
         data = boundary_matrices(K)  # raises if d1 . d2 != 0
         assert data.d1.mul(data.d2).is_zero()
+
+
+def test_boundary_matrices_reject_a_nonzero_boundary_of_boundary(monkeypatch, figure_triangulations):
+    K = build_simplicial(figure_triangulations["sphere"])
+    real = IntMatrix.from_columns
+
+    def d2_with_one_sign_wrong(rows, columns):
+        if rows == len(K.edges):
+            (r, v), *rest = columns[0]
+            columns = [((r, -v), *rest), *columns[1:]]
+        return real(rows, columns)
+
+    monkeypatch.setattr(IntMatrix, "from_columns", d2_with_one_sign_wrong)
+    with pytest.raises(InternalInvariantViolation, match="boundary of boundary"):
+        boundary_matrices(K)
+
+
+def test_homology_reduces_each_boundary_matrix_once(monkeypatch, figure_triangulations):
+    seen = []
+
+    def counting(name):
+        real = getattr(simplicial, name)
+
+        def wrapper(*args):
+            seen.append((name, args[-1]))
+            return real(*args)
+        return wrapper
+
+    for name in ("smith_normal_form", "cokernel", "rank"):
+        monkeypatch.setattr(simplicial, name, counting(name))
+    K = build_simplicial(figure_triangulations["projective"])
+    data = boundary_matrices(K)
+    assert homology(K) == (Z, ZMOD2, TRIVIAL)
+    assert len(seen) == 2
+    assert {m for _, m in seen} == {data.d1, data.d2}
+
+
+FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
+FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 5) for q in range(4)]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
+def test_refined_scramble_homology_matches_normal_form(form):
+    K = scramble(make_canonical(form), 5, 12)
+    _, simp = refine_to_triangulation(K)
+    h0, h1, h2 = homology(simp)
+    assert h0 == Z
+    assert h1 == h1_from_normal_form(form)
+    closed_orientable = form.q == 0 and form.kind == TYPE_I
+    assert h2 == (Z if closed_orientable else TRIVIAL)
 
 
 def test_homology_figures(figure_triangulations):
