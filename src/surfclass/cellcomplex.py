@@ -105,88 +105,25 @@ class CellComplex:
     def inner_edges(self) -> tuple:
         return tuple(e for e in self.edges if len(self.edge_occurrences[e]) == 2)
 
-    # -- vertices via the end graph -------------------------------------
+    # -- vertices and invariants via the end graph ----------------------
+
+    @cached_property
+    def _counts(self) -> tuple:
+        return count_invariants([w for _, w in self.faces])
 
     @cached_property
     def _vertex_runs(self):
-        """Walk the end graph once, without canonicalizing.
-
-        Returns (border runs, inner runs): the incoming symbols of each
-        path and each cycle in walk order, or None when every word is
-        empty (the single null vertex).
-        """
-        # ends: head(slot k) = 2k carries its symbol, tail = 2k+1 the inverse
-        base = []  # slot index of each face's first letter
-        member = []
-        for _, w in self.faces:
-            base.append(len(member) // 2)
-            for s in w:
-                member += (s, s.inv())
-        nends = len(member)
-        if nends == 0:
+        """(border paths, inner cycles, contours) as runs of symbols in
+        walk order, or None when every word is empty (the null vertex)."""
+        letters = [s for _, w in self.faces for s in w]
+        if not letters:
             return None
 
-        corner = [None] * nends
-        for fi, (_, w) in enumerate(self.faces):
-            n, b0 = len(w), base[fi]
-            for pos in range(n):
-                a = b0 + pos
-                b = b0 + (pos + 1) % n
-                corner[2 * a] = 2 * b + 1
-                corner[2 * b + 1] = 2 * a
+        def member(end):
+            s = letters[end >> 1]
+            return s.inv() if end & 1 else s
 
-        glue = [None] * nends
-        for occ in self.edge_occurrences.values():
-            if len(occ) != 2:
-                continue
-            (f1, p1, s1), (f2, p2, s2) = occ
-            u, v = base[f1] + p1, base[f2] + p2
-            if s1 == s2:
-                glue[2 * u], glue[2 * v] = 2 * v, 2 * u
-                glue[2 * u + 1], glue[2 * v + 1] = 2 * v + 1, 2 * u + 1
-            else:
-                glue[2 * u], glue[2 * v + 1] = 2 * v + 1, 2 * u
-                glue[2 * u + 1], glue[2 * v] = 2 * v, 2 * u + 1
-
-        seen = [False] * nends
-        borders, inners = [], []
-
-        # border vertices first: paths start at unglued ends and
-        # alternate corner / glue
-        for e0 in range(nends):
-            if seen[e0] or glue[e0] is not None:
-                continue
-            run = [member[e0]]
-            seen[e0] = True
-            e = corner[e0]
-            while True:
-                seen[e] = True
-                run.append(member[e])
-                g = glue[e]
-                if g is None:
-                    break
-                seen[g] = True
-                e = corner[g]
-            borders.append(run)
-
-        # remaining components are cycles: inner vertices
-        for e0 in range(nends):
-            if seen[e0]:
-                continue
-            run = []
-            e = e0
-            while not seen[e]:
-                seen[e] = True
-                run.append(member[e])
-                g = glue[e]
-                seen[g] = True
-                e = corner[g]
-            inners.append(run)
-        return borders, inners
-
-    def _vertex_count(self) -> int:
-        runs = self._vertex_runs
-        return 1 if runs is None else len(runs[0]) + len(runs[1])
+        return tuple([[member(e) for e in r] for r in rs] for rs in self._counts[2])
 
     @cached_property
     def _vertex_data(self):
@@ -200,7 +137,7 @@ class CellComplex:
         runs = self._vertex_runs
         if runs is None:
             return (Vertex(NULL, ()),), {}
-        borders, inners = runs
+        borders, inners, _ = runs
         vertices = [Vertex(BORDER, _least_of(tuple(r), tuple(r[::-1]))) for r in borders]
         vertices += [
             Vertex(INNER, _least_of(cyclic_canonical(r), cyclic_canonical(r[::-1])))
@@ -221,98 +158,25 @@ class CellComplex:
         data, idx = self._vertex_data
         return data[idx[s]]
 
-    # -- invariants ------------------------------------------------------
-
     def euler_characteristic(self) -> int:
-        return self._vertex_count() - len(self.edges) + len(self.faces)
-
-    def _contour_runs(self) -> list:
-        """One raw run per boundary circle; border runs' ends link them."""
-        runs = self._vertex_runs
-        succ = {}
-        for r in runs[0] if runs else ():
-            first, last = r[0], r[-1]
-            succ[first] = last.inv()
-            succ[last] = first.inv()
-        out = []
-        visited = set()
-        for start in sorted(succ, key=sym_key):
-            if start in visited:
-                continue
-            run = [start]
-            cur = succ[start]
-            while cur != start:
-                run.append(cur)
-                cur = succ[cur]
-            for s in run:
-                visited.add(s)
-                visited.add(s.inv())
-            out.append(tuple(run))
-        return out
+        return self._counts[0].euler
 
     def contours(self) -> tuple:
         """Boundary circles; (a1..an) and (an'..a1') are one contour."""
+        runs = self._vertex_runs
         out = [
             Contour(_least_of(cyclic_canonical(r), cyclic_canonical(inverse_word(r))))
-            for r in self._contour_runs()
+            for r in (runs[2] if runs else ())
         ]
         out.sort(key=lambda c: _word_key(c.edges))
         return tuple(out)
 
     def is_orientable(self) -> bool:
-        """Whether some choice of face orientations is coherent.
-
-        Each inner edge with both occurrences in one face forces the
-        answer (equal signs: never orientable; opposite: no constraint).
-        Edges shared by two faces impose a parity constraint solved by
-        2-coloring the face graph.
-        """
-        nfaces = len(self.faces)
-        constraints = []  # (face i, face j, parity) flip_i xor flip_j == parity
-        for occ in self.edge_occurrences.values():
-            if len(occ) != 2:
-                continue
-            (f1, _, s1), (f2, _, s2) = occ
-            if f1 == f2:
-                if s1 == s2:
-                    return False
-                continue
-            constraints.append((f1, f2, 1 if s1 == s2 else 0))
-        color = [None] * nfaces
-        adj: dict = {}
-        for f1, f2, p in constraints:
-            adj.setdefault(f1, []).append((f2, p))
-            adj.setdefault(f2, []).append((f1, p))
-        for root in range(nfaces):
-            if color[root] is not None:
-                continue
-            color[root] = 0
-            stack = [root]
-            while stack:
-                f = stack.pop()
-                for g, p in adj.get(f, ()):
-                    want = color[f] ^ p
-                    if color[g] is None:
-                        color[g] = want
-                        stack.append(g)
-                    elif color[g] != want:
-                        return False
-        return True
+        """Whether some choice of face orientations is coherent."""
+        return self._counts[0].orientable
 
     def invariant_report(self) -> InvariantReport:
-        return self._report
-
-    @cached_property
-    def _report(self) -> InvariantReport:
-        # counts only: no canonical vertex or contour order is needed
-        return InvariantReport(
-            orientable=self.is_orientable(),
-            num_contours=len(self._contour_runs()),
-            euler=self.euler_characteristic(),
-            n0=self._vertex_count(),
-            n1=len(self.edges),
-            n2=len(self.faces),
-        )
+        return self._counts[0]
 
     # -- misc -------------------------------------------------------------
 
@@ -326,6 +190,159 @@ def _word_key(w):
 
 def _least_of(u, v):
     return min(u, v, key=_word_key)
+
+
+def count_invariants(words) -> tuple:
+    """(invariant report, face components, runs) of a list of face words,
+    counted in one integer pass.
+
+    Every edge must occur once or twice (:func:`build` checks that
+    first).  Slot k is the k-th letter over all words; its head end 2k
+    carries the letter and its tail end 2k+1 the inverse.  Corners pair
+    the head of a slot with the tail of the next slot of its face, and
+    the two slots of an inner edge glue their ends together.  Paths of
+    that end graph are border vertices and cycles inner vertices.  The
+    unglued ends, paired by slot and by border path, form one cycle per
+    contour.  One 2-colouring of the face graph over inner edges gives
+    orientability and the face components: the component index of each
+    face, numbered in face order.  The runs are the border paths, inner
+    cycles and contours as lists of ends, for the vertex and contour
+    views.
+    """
+    letters = [s for w in words for s in w]
+    total = len(letters)
+    nends = 2 * total
+    # corners: the head of slot a meets the tail of slot a + 1 and the
+    # tail of slot b the head of slot b - 1, except where a face closes
+    corner = [0] * nends
+    corner[0::2] = range(3, nends + 2, 2)
+    corner[1::2] = range(-2, nends - 2, 2)
+    face = []  # slot -> face index
+    b0 = 0
+    for fi, w in enumerate(words):
+        n = len(w)
+        face += [fi] * n
+        if n:
+            b1 = b0 + n
+            corner[2 * b1 - 2] = 2 * b0 + 1
+            corner[2 * b0 + 1] = 2 * b1 - 2
+            b0 = b1
+    names, sign = zip(*letters) if letters else ((), ())
+    # edge -> its first and last slot (equal on a border edge)
+    last = dict(zip(names, range(total)))
+    first = dict(zip(reversed(names), range(total - 1, -1, -1)))
+    glue = [-1] * nends
+    nfaces = len(words)
+    adj = [[] for _ in range(nfaces)]
+    orientable = True
+    border = []  # slots of border edges, ascending
+    for u, v in zip(map(first.__getitem__, last), last.values()):
+        if u == v:
+            border.append(u)
+            continue
+        same = sign[u] == sign[v]
+        if same:
+            glue[2 * u], glue[2 * v] = 2 * v, 2 * u
+            glue[2 * u + 1], glue[2 * v + 1] = 2 * v + 1, 2 * u + 1
+        else:
+            glue[2 * u], glue[2 * v + 1] = 2 * v + 1, 2 * u
+            glue[2 * u + 1], glue[2 * v] = 2 * v, 2 * u + 1
+        fu, fv = face[u], face[v]
+        if fu != fv:
+            adj[fu].append((fv, same))
+            adj[fv].append((fu, same))
+        elif same:
+            orientable = False
+
+    # border vertices: paths from an unglued end, alternating corner / glue
+    seen = bytearray(nends)
+    partner = {}  # unglued end -> the other end of its path
+    paths, cycles = [], []
+    for u in border:
+        for e0 in (2 * u, 2 * u + 1):
+            if seen[e0]:
+                continue
+            seen[e0] = 1
+            run = [e0]
+            e = corner[e0]
+            while True:
+                seen[e] = 1
+                run.append(e)
+                g = glue[e]
+                if g < 0:
+                    break
+                seen[g] = 1
+                e = corner[g]
+            partner[e0], partner[e] = e, e0
+            paths.append(run)
+    # inner vertices: the remaining components are cycles
+    e0 = seen.find(0)
+    while e0 >= 0:
+        run = []
+        e = e0
+        while not seen[e]:
+            seen[e] = 1
+            run.append(e)
+            g = glue[e]
+            seen[g] = 1
+            e = corner[g]
+        cycles.append(run)
+        e0 = seen.find(0, e0 + 1)
+    # contours: from an unglued end to its path's other end, then over
+    # to the other end of that slot, until the walk closes
+    contours = []
+    done = set()
+    for u in border:
+        if u in done:
+            continue
+        run = []
+        x0 = x = 2 * u
+        while True:
+            run.append(x)
+            done.add(x >> 1)
+            x = partner[x] ^ 1
+            if x == x0:
+                break
+        contours.append(run)
+
+    component = [-1] * nfaces
+    colour = [0] * nfaces
+    ncomp = 0
+    for root in range(nfaces):
+        if component[root] >= 0:
+            continue
+        component[root] = ncomp
+        stack = [root]
+        while stack:
+            f = stack.pop()
+            for g, flip in adj[f]:
+                want = colour[f] ^ flip
+                if component[g] < 0:
+                    component[g], colour[g] = ncomp, want
+                    stack.append(g)
+                elif colour[g] != want:
+                    orientable = False
+        ncomp += 1
+
+    n0 = len(paths) + len(cycles) if nends else 1
+    n1 = len(last)
+    report = InvariantReport(
+        orientable=orientable,
+        num_contours=len(contours),
+        euler=n0 - n1 + nfaces,
+        n0=n0,
+        n1=n1,
+        n2=nfaces,
+    )
+    return report, component, (paths, cycles, contours)
+
+
+def checked_complex(faces: tuple, counts: tuple) -> CellComplex:
+    """A complex over faces that were validated otherwise (move by move,
+    in the rewriter), carrying ``count_invariants`` of their words."""
+    K = CellComplex(faces=faces)
+    K.__dict__["_counts"] = counts  # the cached_property's slot
+    return K
 
 
 def build(faces: Mapping[str, Word | str], internal: bool = False) -> CellComplex:
@@ -353,33 +370,12 @@ def build(faces: Mapping[str, Word | str], internal: bool = False) -> CellComple
         if len(occ) not in (1, 2):
             raise EdgeMultiplicityError(e, len(occ))
 
-    _check_connected(K)
+    component = K._counts[1]
+    if any(component):
+        parts = [[] for _ in range(max(component) + 1)]
+        for (name, _), c in zip(K.faces, component):
+            parts[c].append(name)
+        for e in K.edges:
+            parts[component[K.edge_occurrences[e][0][0]]].append(e)
+        raise DisconnectedError(tuple(map(tuple, parts)))
     return K
-
-
-def _check_connected(K: CellComplex) -> None:
-    names = [name for name, _ in K.faces]
-    parent = {n: n for n in names}
-    parent.update({("e", e): ("e", e) for e in K.edges})
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (name, w) in K.faces:
-        for s in w:
-            union(name, ("e", s.name))
-    roots = {}
-    for n in names:
-        roots.setdefault(find(n), []).append(n)
-    for e in K.edges:
-        roots.setdefault(find(("e", e)), []).append(e)
-    if len(roots) > 1:
-        raise DisconnectedError(tuple(tuple(v) for v in roots.values()))

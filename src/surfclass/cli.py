@@ -12,6 +12,7 @@ can grep for the failure class.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,7 +21,13 @@ from . import fileio, svg
 from .classify import classify as classify_surface
 from .classify import to_json_dict
 from .edgeword import format_word
-from .errors import FileFormatError, MalformedTokenError, NotASurfaceError, SurfclassError
+from .errors import (
+    FileFormatError,
+    MalformedTokenError,
+    NotASurfaceError,
+    RenderLimitError,
+    SurfclassError,
+)
 from .intlinalg import group_format
 from .planegeom import ClosedCurve, hausdorff_distance, ifs_iterate, preset, preset_seed, snowflake, winding_number
 from .rewrite import normalize, scramble
@@ -200,11 +207,30 @@ def cmd_refine(args, out):
     return 0
 
 
+# a segment takes about 50 bytes of SVG, so this is a file of about 50 MB
+MAX_PRIMITIVES = 1_000_000
+
+
+def _check_render_size(seed: int, maps: int, iters: int) -> None:
+    """Fail before iterating when seed * maps**iters exceeds MAX_PRIMITIVES."""
+    count = seed
+    for _ in range(iters if seed and maps > 1 else 0):
+        count *= maps
+        if count > MAX_PRIMITIVES:
+            raise RenderLimitError(
+                f"--iters {iters} would render {seed} x {maps}^{iters} primitives; "
+                f"the limit is {MAX_PRIMITIVES}"
+            )
+
+
 def cmd_fractal_render(args, out):
     if args.iters < 0:
         print("E_USAGE: --iters must be nonnegative", file=sys.stderr)
         return 2
     if args.preset == "snowflake":
+        # three copies of the iterated Koch curve
+        koch = len(preset_seed("koch").primitives)
+        _check_render_size(3 * koch, len(preset("koch").maps), args.iters)
         scene = snowflake(args.iters)
     else:
         if args.preset:
@@ -229,6 +255,7 @@ def cmd_fractal_render(args, out):
         if seed_scene is None:
             print("E_USAGE: custom IFS needs --seed-file", file=sys.stderr)
             return 2
+        _check_render_size(len(seed_scene.primitives), len(system.maps), args.iters)
         scene = ifs_iterate(system, seed_scene, args.iters)
     text = svg.render_svg(scene)
     if args.out:
@@ -337,10 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves no state in the parser
+    return build_parser()
+
+
 def run(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     out = _Out(getattr(args, "out", None))

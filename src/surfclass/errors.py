@@ -131,6 +131,12 @@ class DegenerateGeometryError(SurfclassError, ValueError):
     code = "E_DEGENERATE_GEOMETRY"
 
 
+class RenderLimitError(SurfclassError):
+    """A render would build more primitives than the CLI serves."""
+
+    code = "E_RENDER_LIMIT"
+
+
 class PointOnCurveError(SurfclassError):
     code = "E_POINT_ON_CURVE"
 

@@ -12,9 +12,18 @@ Two elementary moves generate the equivalence of cell complexes:
 handles ``a b a' b'`` (orientable) or cross-caps ``a a`` otherwise,
 followed by one loop ``c h c'`` per boundary circle.  Composite word
 rewrites (cross-cap rule, handle rule, handle+cross-cap conversion,
-loop grouping) are applied as single trace steps; every step checks
-that orientability, contour count and Euler characteristic are
-unchanged and raises InternalInvariantViolation otherwise.
+loop grouping) are applied as single trace steps.
+
+Every step is checked as strictly as :func:`build` plus a comparison of
+invariants, without rebuilding the complex: the rewriter keeps an edge
+-> occurrence count map, updated from the step's before/after words;
+it checks the names of new faces and new edges and the multiplicity of
+every edge the step touches, then one pass of
+:func:`~surfclass.cellcomplex.count_invariants` over all faces gives
+connectivity and the (orientability, contour count, Euler
+characteristic) key.  A failed check re-runs ``build``, which raises
+the same error as for a complex built from scratch; a changed key
+raises InternalInvariantViolation.
 """
 
 from __future__ import annotations
@@ -23,7 +32,15 @@ import random
 import re
 from dataclasses import dataclass
 
-from .cellcomplex import BORDER, INNER, CellComplex, Vertex, build
+from .cellcomplex import (
+    BORDER,
+    INNER,
+    CellComplex,
+    Vertex,
+    build,
+    checked_complex,
+    count_invariants,
+)
 from .edgeword import (
     EdgeSym,
     Word,
@@ -33,6 +50,7 @@ from .edgeword import (
     rotate,
     sym,
     sym_key,
+    valid_name,
 )
 from .errors import (
     BadPositionError,
@@ -419,6 +437,8 @@ class _Rewriter:
         self.trace = []
         self.counter = _fresh_start(K)
         self.expected = K.invariant_report().key()
+        self.occurrences = {e: len(occ) for e, occ in K.edge_occurrences.items()}
+        self.counts = None  # count_invariants after the last move
         total = sum(len(w) for w in self.faces.values()) + len(self.faces)
         self.budget = 600 + 80 * total
         self._cache = K
@@ -434,9 +454,17 @@ class _Rewriter:
         return f"_f{self.counter - 1}"
 
     def complex(self) -> CellComplex:
+        """The current faces as a complex, for its views; every move has
+        already been checked, so it is not validated again."""
         if self._cache is None:
-            self._cache = build(self.faces, internal=True)
+            self._cache = checked_complex(tuple(self.faces.items()), self.counts)
         return self._cache
+
+    def border_edges(self) -> set:
+        return {e for e, n in self.occurrences.items() if n == 1}
+
+    def inner_edges(self) -> set:
+        return {e for e, n in self.occurrences.items() if n == 2}
 
     def spend(self, phase: str):
         self.budget -= 1
@@ -454,11 +482,51 @@ class _Rewriter:
         after = tuple((n, w) for n, w in changes.items() if w is not None)
         self.trace.append(Move(kind, rule, args, before, after))
         self._cache = None
-        K = self.complex()
-        if K.invariant_report().key() != self.expected:
+        self.check(before, after)
+        self.counts = report, component, _ = count_invariants(list(self.faces.values()))
+        if any(component):
+            self.reject()
+        if report.key() != self.expected:
             raise InternalInvariantViolation(
-                f"{kind}:{rule or '-'} changed invariants on {K.describe()}"
+                f"{kind}:{rule or '-'} changed invariants on {self.complex().describe()}"
             )
+
+    def check(self, before: tuple, after: tuple):
+        """What :func:`build` checks, on the changed faces only: names of
+        new faces and new edges, and the multiplicity of every edge the
+        move touches; the edge occurrence counts follow the move."""
+        occ = self.occurrences
+        old = {n for n, _ in before}
+        ok = bool(self.faces)
+        touched = set()
+        for n, w in after:
+            if n not in old and not valid_name(n, internal=True):
+                ok = False
+            for s in w:
+                c = occ.get(s.name)
+                if c is None:
+                    c = 0
+                    if not valid_name(s.name, internal=True):
+                        ok = False
+                occ[s.name] = c + 1
+                touched.add(s.name)
+        for _, w in before:
+            for s in w:
+                occ[s.name] -= 1
+                touched.add(s.name)
+        for e in touched:
+            c = occ[e]
+            if c == 0:
+                del occ[e]
+            elif c > 2:
+                ok = False
+        if not ok:
+            self.reject()
+
+    def reject(self):
+        """Raise the error :func:`build` gives for the current faces."""
+        build(self.faces, internal=True)
+        raise InternalInvariantViolation("the per-move check and build disagree")
 
     def reorient(self, face: str):
         """Re-choose the stored orientation of a face (free operation)."""
@@ -592,7 +660,7 @@ class _Rewriter:
         anchor's inverse outside v, distinct underlying edges."""
         members = v.members
         n = len(members)
-        inner_edges = set(self.complex().inner_edges())
+        inner_edges = self.inner_edges()
         if v.kind == INNER:
             idx = [(i, (i + 1) % n) for i in range(n)]
             idx += [((i + 1) % n, i) for i in range(n)]
@@ -658,7 +726,7 @@ class _Rewriter:
         while True:
             self.spend("border vertex reduction")
             self.sweep_cancel()
-            inner_edges = set(self.complex().inner_edges())
+            inner_edges = self.inner_edges()
             offending = [
                 v for v in self.border_vertices()
                 if not self._is_loop_vertex(v, inner_edges)
@@ -703,7 +771,7 @@ class _Rewriter:
 
     def _reserved(self) -> set:
         """Edges locked inside loops: each hole edge plus its collar."""
-        inner_edges = set(self.complex().inner_edges())
+        inner_edges = self.inner_edges()
         out = set()
         for v in self.border_vertices():
             if not self._is_loop_vertex(v, inner_edges):
@@ -812,7 +880,7 @@ class _Rewriter:
             self.spend("mixed conversion")
             w = self.faces[name]
             n = len(w)
-            border = set(self.complex().border_edges())
+            border = self.border_edges()
             ci = next((i for i in range(n) if _is_crosscap(w, i, border)), None)
             if ci is None:
                 return
@@ -838,7 +906,7 @@ class _Rewriter:
             self.spend("loop grouping")
             w = self.faces[name]
             n = len(w)
-            border = set(self.complex().border_edges())
+            border = self.border_edges()
             starts = [i for i in range(n) if _is_loop(w, i, border)]
             if len(starts) != len(border):
                 raise InternalInvariantViolation("a loop lost its shape")
@@ -880,7 +948,7 @@ class _Rewriter:
         """Relabel the blocks of the single face as a1 b1 ... c1 h1 c1' ..."""
         name = self.single_name()
         w = self.faces[name]
-        got = _read_canonical(w, set(self.complex().border_edges()))
+        got = _read_canonical(w, self.border_edges())
         if got is None:
             raise InternalInvariantViolation(
                 f"final word is not canonical: {format_word(w)}"

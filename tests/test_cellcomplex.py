@@ -63,6 +63,18 @@ def test_build_rejects_empty_and_disconnected():
         build({"A": "a a", "B": "b b"})
 
 
+def test_disconnected_error_names_each_component():
+    # message and components as the union-find check gave them
+    with pytest.raises(DisconnectedError) as e:
+        build({"A": "a a", "B": "b b"})
+    assert str(e.value) == "complex is not connected: {A, a} / {B, b}"
+    assert e.value.components == (("A", "a"), ("B", "b"))
+    with pytest.raises(DisconnectedError) as e:
+        build({"B": "x y", "A": "q", "C": "y' x'", "D": ""})
+    assert str(e.value) == "complex is not connected: {B, C, x, y} / {A, q} / {D}"
+    assert e.value.components == (("B", "C", "x", "y"), ("A", "q"), ("D",))
+
+
 def successors(K, s):
     """Symbols following s in some face word or its inverse word, read
     off the vertex s leads to: t follows s where t' sits next to s."""

@@ -1,8 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import surfclass
+from surfclass import cli
 from surfclass.cli import run
 from surfclass.rewrite import NormalForm, make_canonical
 from surfclass.simplicial import refine_to_triangulation
@@ -283,3 +289,74 @@ def test_classify_edge_in_three_triangles_names_user_vertices(files, capsys):
     one_coded_line(err, "E_NOT_A_SURFACE")
     assert "('a', 'b') lies in 3 triangles" in err
     assert not re.search(r"\be\d+\b", err)
+
+
+def test_fractal_render_rejects_a_render_over_the_primitive_cap(files, capsys, monkeypatch):
+    # 3 seed segments x 3^60: refused before any iteration or allocation
+    def no_render(*args):
+        raise AssertionError("iterated although the render is over the cap")
+
+    monkeypatch.setattr(cli, "ifs_iterate", no_render)
+    monkeypatch.setattr(cli, "snowflake", no_render)
+    _, tmp = files
+    out_path = str(tmp / "g.svg")
+    argv = ["fractal-render", "--preset", "sierpinski-gasket", "--iters", "60", "--out", out_path]
+    assert run(argv) == 1
+    one_coded_line(capsys.readouterr().err, "E_RENDER_LIMIT")
+    assert not (tmp / "g.svg").exists()
+    assert run(["fractal-render", "--preset", "snowflake", "--iters", "60"]) == 1
+    one_coded_line(capsys.readouterr().err, "E_RENDER_LIMIT")
+
+
+def test_fractal_render_primitive_cap_boundary(files, capsys, monkeypatch):
+    # gasket: 3 x 3^11 = 531,441 primitives are served, 3 x 3^12 are not;
+    # a stub stands in for the iteration so nothing large is built
+    rendered = []
+
+    def stub(system, seed, iters):
+        rendered.append(iters)
+        return seed
+
+    monkeypatch.setattr(cli, "ifs_iterate", stub)
+    _, tmp = files
+    out_path = str(tmp / "g.svg")
+    base = ["fractal-render", "--preset", "sierpinski-gasket", "--out", out_path]
+    assert 3 * 3**11 <= cli.MAX_PRIMITIVES < 3 * 3**12
+    assert run(base + ["--iters", "11"]) == 0
+    assert run(base + ["--iters", "12"]) == 1
+    assert rendered == [11]
+    one_coded_line(capsys.readouterr().err.splitlines()[-1], "E_RENDER_LIMIT")
+
+
+def test_cached_parser_matches_separate_runs(files, capsys, monkeypatch):
+    """One parser serves every call of a process: a valid verb, a usage
+    error, then the valid verb again give what three fresh processes give."""
+    write, _ = files
+    path = write("torus.cc", TORUS_CC)
+    calls = [["classify", path], ["classify", path, "--bogus"], ["classify", path]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+    in_process = []
+    for argv in calls:
+        code = run(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli._parser() is cli._parser()
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(surfclass.__file__).parents[1]),
+        PYTHONIOENCODING="utf-8",
+        COLUMNS="80",
+    )
+    separate = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "surfclass.cli", *argv],
+            capture_output=True,
+            encoding="utf-8",
+            env=env,
+        )
+        separate.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == separate
+    assert [c[0] for c in in_process] == [0, 2, 0]
+    assert in_process[1][2].startswith("usage: surfclass ")

@@ -1,0 +1,105 @@
+"""The per-move check of ``normalize`` against a full ``build``.
+
+``_Rewriter.mutate`` keeps edge occurrence counts up to date from each
+move's before/after words, checks names and multiplicity on the changed
+faces only, and counts the invariants in one pass.  These tests hold it
+to what ``build`` and ``invariant_report`` say about the same faces.
+"""
+
+import pytest
+
+from surfclass import rewrite
+from surfclass.cellcomplex import build, count_invariants
+from surfclass.edgeword import EdgeSym, parse_word
+from surfclass.errors import (
+    BadNameError,
+    DisconnectedError,
+    EdgeMultiplicityError,
+    EmptyFaceSetError,
+    SurfclassError,
+)
+from surfclass.rewrite import (
+    TYPE_I,
+    TYPE_II,
+    NormalForm,
+    _Rewriter,
+    make_canonical,
+    normalize,
+    scramble,
+)
+
+FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
+FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 5) for q in range(4)]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
+def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatch):
+    real = _Rewriter.mutate
+    moves = []
+
+    def checked(self, changes, kind, rule, args):
+        real(self, changes, kind, rule, args)
+        K = build(self.faces, internal=True)
+        assert self.occurrences == {e: len(o) for e, o in K.edge_occurrences.items()}
+        key = count_invariants(list(self.faces.values()))[0].key()
+        assert key == K.invariant_report().key()
+        # known by construction, independently of the counting pass
+        assert key == (form.orientable(), form.q, form.euler())
+        moves.append(kind)
+
+    monkeypatch.setattr(_Rewriter, "mutate", checked)
+    for seed in range(3):
+        K = scramble(make_canonical(form), 1000 + seed, 20)
+        assert normalize(K).normal == form
+    assert moves
+
+
+def test_normalize_builds_no_complex_per_move(monkeypatch):
+    calls = []
+    real = rewrite.build
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    K = scramble(make_canonical(NormalForm(TYPE_II, 3, 2)), 5, 30)
+    monkeypatch.setattr(rewrite, "build", counting)
+    res = normalize(K)
+    assert len(res.trace) > 10
+    assert calls == []
+
+
+def faces_of(spec):
+    return {n: parse_word(w) if isinstance(w, str) else w for n, w in spec.items()}
+
+
+BAD = (EdgeSym("9x", 1), EdgeSym("9x", -1))
+
+PARITY = {
+    # an edge in three slots
+    "multiplicity": ({"A": "a b a' b'"}, {"A": "a b a' b' a"}, EdgeMultiplicityError),
+    # a new face over a new edge of its own
+    "disconnected": ({"A": "a b a' b'"}, {"B": "x x"}, DisconnectedError),
+    "bad edge name": ({"A": "a b a' b'"}, {"A": BAD + parse_word("a b a' b'")}, BadNameError),
+    "bad face name": ({"A": "a b", "B": "b' a'"}, {"B": None, "B!": "b' a'"}, BadNameError),
+    "no face left": ({"A": "a b a' b'"}, {"A": None}, EmptyFaceSetError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY))
+def test_mutate_raises_what_build_raises(case):
+    start, changes, cls = PARITY[case]
+    changes = faces_of(changes)
+    rw = _Rewriter(build(start))
+    state = dict(rw.faces)
+    for n, w in changes.items():
+        if w is None:
+            del state[n]
+        else:
+            state[n] = w
+    with pytest.raises(SurfclassError) as want:
+        build(state, internal=True)
+    assert type(want.value) is cls
+    with pytest.raises(cls) as got:
+        rw.mutate(changes, "composite", "test", ())
+    assert str(got.value) == str(want.value)
