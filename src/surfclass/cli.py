@@ -104,10 +104,16 @@ def cmd_validate(args, out):
         if not (closed.ok or bordered.ok):
             _emit(payload, args, out)
             out.flush()
-            return 1
+            raise _not_a_surface(closed, bordered)
     _emit(payload, args, out)
     out.flush()
     return 0
+
+
+def _not_a_surface(closed, bordered) -> NotASurfaceError:
+    """The error for a triangulation that fails both checks: one with
+    border edges is read as bordered, any other as closed."""
+    return NotASurfaceError((bordered if bordered.border_circles else closed).violations[0])
 
 
 def _emit(payload: dict, args, out):
@@ -125,9 +131,7 @@ def cmd_classify(args, out):
         if not closed.ok:
             bordered = validate_bordered_surface(obj)
             if not bordered.ok:
-                # a triangulation with border edges is read as bordered
-                report = bordered if bordered.border_circles else closed
-                raise NotASurfaceError(report.violations[0])
+                raise _not_a_surface(closed, bordered)
         obj = to_cell_complex(obj)
     sc = classify_surface(obj)
     payload = to_json_dict(sc)
@@ -212,15 +216,17 @@ MAX_PRIMITIVES = 1_000_000
 
 
 def _check_render_size(seed: int, maps: int, iters: int) -> None:
-    """Fail before iterating when seed * maps**iters exceeds MAX_PRIMITIVES."""
-    count = seed
-    for _ in range(iters if seed and maps > 1 else 0):
-        count *= maps
-        if count > MAX_PRIMITIVES:
-            raise RenderLimitError(
-                f"--iters {iters} would render {seed} x {maps}^{iters} primitives; "
-                f"the limit is {MAX_PRIMITIVES}"
-            )
+    """Fail before iterating when seed * max(maps**iters, iters) exceeds
+    MAX_PRIMITIVES: the primitives rendered, or the iterations of a
+    one-map IFS, whose scene keeps its size.  maps**iters is not formed
+    past the cap's bit length, where it is over the cap anyway."""
+    cap = MAX_PRIMITIVES
+    grow = maps**iters if maps < 2 or iters <= cap.bit_length() else cap + 1
+    if seed * max(grow, iters) > cap:
+        raise RenderLimitError(
+            f"--iters {iters} with {maps} maps on {seed} seed primitives needs "
+            f"{seed} x max({maps}^{iters}, {iters}) steps; the limit is {cap}"
+        )
 
 
 def cmd_fractal_render(args, out):

@@ -111,6 +111,94 @@ def sym_key(s: EdgeSym):
     return (s.name, 0 if s.sign > 0 else 1)
 
 
+# ---------------------------------------------------------------------------
+# word surgery of the elementary moves
+
+
+def subst_p1(w: Word, split: dict) -> Word:
+    """Replace each edge ``a`` of ``split`` (a -> (b, c)) by ``b c``.
+
+    >>> format_word(subst_p1(parse_word("a b a'"), {"a": ("x", "y")}))
+    "x y b y' x'"
+    """
+    out = []
+    for s in w:
+        bc = split.get(s.name)
+        if bc is None:
+            out.append(s)
+        elif s.sign > 0:
+            out += [EdgeSym(bc[0], 1), EdgeSym(bc[1], 1)]
+        else:
+            out += [EdgeSym(bc[1], -1), EdgeSym(bc[0], -1)]
+    return tuple(out)
+
+
+def contract_pair(w: Word, b: EdgeSym, c: EdgeSym, fresh: str) -> Word:
+    """Replace cyclic occurrences of ``b c`` by ``fresh`` and ``c' b'``
+    by ``fresh'``.  An edge occurs at most twice in a complex, so a
+    word is scanned at most three times.
+
+    >>> format_word(contract_pair(parse_word("b x c x' b'"), sym("b"), sym("x"), "k"))
+    "k c k'"
+    """
+    out = list(w)
+    pairs = ((b, c), (c.inv(), b.inv()))
+    while len(out) >= 2:
+        n = len(out)
+        i = next((i for i in range(n) if (out[i], out[(i + 1) % n]) in pairs), None)
+        if i is None:
+            break
+        rep = EdgeSym(fresh, 1 if out[i] == b else -1)
+        out = [rep] + out[1:i] if i == n - 1 else out[:i] + [rep] + out[i + 2:]
+    return tuple(out)
+
+
+def split_face(w: Word, p: int, d: str) -> tuple:
+    """The two pieces ``w[:p] d`` and ``d' w[p:]`` of cutting w at
+    position p along a chord ``d``; p may be 0 or len(w).
+
+    >>> split_face(parse_word("a b c"), 1, "d")
+    ((a, d), (d', b, c))
+    """
+    return w[:p] + (EdgeSym(d, 1),), (EdgeSym(d, -1),) + w[p:]
+
+
+def merge_words(w1: Word, w2: Word, edge: str) -> Word:
+    """Glue two words along ``edge``, which occurs once in each, and
+    delete it: w1 is read to contain ``edge``, w2 to contain ``edge'``.
+
+    >>> merge_words(parse_word("a d"), parse_word("d' b c"), "d")
+    (a, b, c)
+    """
+    if not any(s.name == edge and s.sign > 0 for s in w1):
+        w1 = inverse_word(w1)
+    if not any(s.name == edge and s.sign < 0 for s in w2):
+        w2 = inverse_word(w2)
+    i = next(k for k, s in enumerate(w1) if s == EdgeSym(edge, 1))
+    j = next(k for k, s in enumerate(w2) if s == EdgeSym(edge, -1))
+    u = rotate(w1, (i + 1) % len(w1))[:-1]
+    v = rotate(w2, (j + 1) % len(w2))[:-1]
+    return u + v
+
+
+_GENERATED_RE = re.compile(r"_[gf](\d+)\Z")
+
+
+def fresh_start(names) -> int:
+    """First free index for machine names ``_g<k>``/``_f<k>``, given the
+    edge and face names in use.
+
+    >>> fresh_start(["a", "_g3", "_f7", "A_2"])
+    8
+    """
+    top = 0
+    for n in names:
+        m = _GENERATED_RE.match(n)
+        if m:
+            top = max(top, int(m.group(1)))
+    return top + 1
+
+
 def inverse_pair_at(w: Word):
     """Index i of the first cyclically adjacent ``x x'`` pair, or None.
 

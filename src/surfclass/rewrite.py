@@ -14,22 +14,24 @@ followed by one loop ``c h c'`` per boundary circle.  Composite word
 rewrites (cross-cap rule, handle rule, handle+cross-cap conversion,
 loop grouping) are applied as single trace steps.
 
-Every step is checked as strictly as :func:`build` plus a comparison of
-invariants, without rebuilding the complex: the rewriter keeps an edge
--> occurrence count map, updated from the step's before/after words;
-it checks the names of new faces and new edges and the multiplicity of
-every edge the step touches, then one pass of
-:func:`~surfclass.cellcomplex.count_invariants` over all faces gives
-connectivity and the (orientability, contour count, Euler
-characteristic) key.  A failed check re-runs ``build``, which raises
-the same error as for a complex built from scratch; a changed key
-raises InternalInvariantViolation.
+Every move, public or internal, runs on one engine: the public
+``apply_*``, ``scramble``, ``replay_trace`` and ``normalize`` all apply
+their moves through the same rewriter state, and each move is checked
+as strictly as :func:`build` plus a comparison of invariants, without
+rebuilding the complex.  The rewriter keeps an edge -> occurrence count
+map, updated from the move's before/after words; it checks the names
+of new faces and new edges and the multiplicity of every edge the move
+touches, then one pass of :func:`~surfclass.cellcomplex.count_invariants`
+over all faces gives connectivity and the (orientability, contour
+count, Euler characteristic) key.  A failed check re-runs ``build``,
+which raises the same error as for a complex built from scratch; a
+changed key raises InternalInvariantViolation.  The word surgery of
+the moves lives in :mod:`surfclass.edgeword`.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 
 from .cellcomplex import (
@@ -44,10 +46,15 @@ from .cellcomplex import (
 from .edgeword import (
     EdgeSym,
     Word,
+    contract_pair,
     format_word,
+    fresh_start,
     inverse_pair_at,
     inverse_word,
+    merge_words,
     rotate,
+    split_face,
+    subst_p1,
     sym,
     sym_key,
     valid_name,
@@ -118,64 +125,22 @@ class NormalizationResult:
 
 def replay_trace(K: CellComplex, trace) -> CellComplex:
     """Re-apply a trace move by move; determinism/consistency oracle."""
-    state = dict(K.faces)
+    rw = _Rewriter(K)
     for m in trace:
         for name, w in m.before:
-            if state.get(name) != w:
+            if rw.faces.get(name) != w:
                 raise InternalInvariantViolation(
                     f"trace does not match state at: {m.format()}"
                 )
-        survivors = {name for name, _ in m.after}
-        for name, _ in m.before:
-            if name not in survivors:
-                del state[name]
-        for name, w in m.after:
-            state[name] = w
-    return build(state, internal=True)
+        changes = {name: None for name, _ in m.before}
+        changes.update(m.after)
+        rw.mutate(changes, m.kind, m.rule, m.args)
+    return build(rw.faces, internal=True)
 
 
 # ---------------------------------------------------------------------------
-# fresh names
-
-_GEN_RE = re.compile(r"_[gf](\d+)\Z")
-
-
-def _fresh_start(K: CellComplex) -> int:
-    top = 0
-    for n in list(K.edges) + [name for name, _ in K.faces]:
-        m = _GEN_RE.match(n)
-        if m:
-            top = max(top, int(m.group(1)))
-    return top + 1
-
-
-# ---------------------------------------------------------------------------
-# elementary moves (public API)
-
-
-def _rebuild(K: CellComplex, faces: dict) -> CellComplex:
-    # every public move checks invariant preservation; bulk internal
-    # callers (triangulation refinement) use the unchecked helpers
-    out = build(faces, internal=True)
-    if K.invariant_report().key() != out.invariant_report().key():
-        raise InternalInvariantViolation(
-            f"move changed invariants: {K.describe()} -> {out.describe()}"
-        )
-    return out
-
-
-def _subst_p1(w: Word, split: dict) -> Word:
-    """Replace each edge ``a`` of ``split`` (a -> (b, c)) by ``b c``."""
-    out = []
-    for s in w:
-        bc = split.get(s.name)
-        if bc is None:
-            out.append(s)
-        elif s.sign > 0:
-            out += [EdgeSym(bc[0], 1), EdgeSym(bc[1], 1)]
-        else:
-            out += [EdgeSym(bc[1], -1), EdgeSym(bc[0], -1)]
-    return tuple(out)
+# elementary moves (public API): the argument checks, then one checked
+# engine move
 
 
 def apply_p1(K: CellComplex, edge: str, b: str, c: str) -> CellComplex:
@@ -184,8 +149,7 @@ def apply_p1(K: CellComplex, edge: str, b: str, c: str) -> CellComplex:
         raise EdgeNotFoundError(f"no edge {edge!r}")
     if b == c or b in K.edges or c in K.edges:
         raise NameCollisionError(f"names {b!r}, {c!r} must be fresh and distinct")
-    faces = {n: _subst_p1(w, {edge: (b, c)}) for n, w in K.faces}
-    return _rebuild(K, faces)
+    return _Rewriter(K).p1(edge, b, c).complex()
 
 
 def apply_p1_inverse(K: CellComplex, first, second, fresh: str) -> CellComplex:
@@ -206,32 +170,7 @@ def apply_p1_inverse(K: CellComplex, first, second, fresh: str) -> CellComplex:
     v = K.vertex_of(b)
     if len(v.members) != 2 or set(v.members) != {b, c.inv()}:
         raise NotContractibleError(f"({b!r}, {c.inv()!r}) is not a two-element vertex")
-    faces = {n: _contract_pair(w, b, c, fresh) for n, w in K.faces}
-    return _rebuild(K, faces)
-
-
-def _contract_pair(w: Word, b: EdgeSym, c: EdgeSym, fresh: str) -> Word:
-    # replace cyclic occurrences of "b c" by fresh and "c' b'" by fresh'
-    out = list(w)
-    changed = True
-    while changed:
-        changed = False
-        n = len(out)
-        for i in range(n):
-            j = (i + 1) % n
-            if n >= 2 and out[i] == b and out[j] == c:
-                rep = EdgeSym(fresh, 1)
-            elif n >= 2 and out[i] == c.inv() and out[j] == b.inv():
-                rep = EdgeSym(fresh, -1)
-            else:
-                continue
-            if j == 0:
-                out = [rep] + out[1:i]
-            else:
-                out = out[:i] + [rep] + out[j + 1:]
-            changed = True
-            break
-    return tuple(out)
+    return _Rewriter(K).p1_inverse(b, c, fresh).complex()
 
 
 def _free_face_name(faces: dict, base: str) -> str:
@@ -244,7 +183,8 @@ def _free_face_name(faces: dict, base: str) -> str:
 def apply_p2(K: CellComplex, face: str, p: int, d: str) -> CellComplex:
     """Cut ``face`` at position p along a fresh chord ``d``.
 
-    The two pieces keep the old name and get a derived sibling name.
+    The two pieces keep the old name and get a derived sibling name,
+    placed right after it.
     """
     fm = K.face_map
     if face not in fm:
@@ -254,22 +194,7 @@ def apply_p2(K: CellComplex, face: str, p: int, d: str) -> CellComplex:
         raise BadPositionError(f"position {p} out of range for length {len(w)}")
     if d in K.edges:
         raise NameCollisionError(f"name {d!r} already in use")
-    faces = dict(K.faces)
-    other = _free_face_name(faces, face)
-    return _rebuild(K, _split_face(faces, face, p, d, other))
-
-
-def _split_face(faces: dict, face: str, p: int, d: str, other_name: str) -> dict:
-    # internal form: p may equal len(w) (chord cutting off an empty lune)
-    w = faces[face]
-    out = {}
-    for n, fw in faces.items():
-        if n == face:
-            out[n] = w[:p] + (EdgeSym(d, 1),)
-            out[other_name] = (EdgeSym(d, -1),) + w[p:]
-        else:
-            out[n] = fw
-    return out
+    return _Rewriter(K).p2(face, p, d).complex()
 
 
 def apply_p2_inverse(K: CellComplex, face1: str, face2: str, edge: str) -> CellComplex:
@@ -285,23 +210,7 @@ def apply_p2_inverse(K: CellComplex, face1: str, face2: str, edge: str) -> CellC
     names = [n for n, _ in K.faces]
     if {names[occ[0][0]], names[occ[1][0]]} != {face1, face2}:
         raise NotMergeableError(f"edge {edge!r} does not join {face1!r} and {face2!r}")
-    merged = _merge_words(fm[face1], fm[face2], edge)
-    faces = {n: w for n, w in K.faces if n != face2}
-    faces[face1] = merged
-    return _rebuild(K, faces)
-
-
-def _merge_words(w1: Word, w2: Word, edge: str) -> Word:
-    # orient w1 to contain edge+, w2 to contain edge-; splice out the chord
-    if not any(s.name == edge and s.sign > 0 for s in w1):
-        w1 = inverse_word(w1)
-    if not any(s.name == edge and s.sign < 0 for s in w2):
-        w2 = inverse_word(w2)
-    i = next(k for k, s in enumerate(w1) if s == EdgeSym(edge, 1))
-    j = next(k for k, s in enumerate(w2) if s == EdgeSym(edge, -1))
-    u = rotate(w1, (i + 1) % len(w1))[:-1]
-    v = rotate(w2, (j + 1) % len(w2))[:-1]
-    return u + v
+    return _Rewriter(K).p2_inverse(face1, face2, edge).complex()
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +339,16 @@ def normal_form_from_invariants(orientable: bool, q: int, euler: int) -> NormalF
 
 
 class _Rewriter:
-    """Mutable normalization state: ordered face words + trace + checks."""
+    """Mutable complex state: ordered face words, the edge -> occurrence
+    count map, the fresh-name counter and the move trace.  Every move,
+    public or internal, is applied and checked by :meth:`mutate`."""
 
     def __init__(self, K: CellComplex):
         self.faces = dict(K.faces)
         self.trace = []
-        self.counter = _fresh_start(K)
-        self.expected = K.invariant_report().key()
         self.occurrences = {e: len(occ) for e, occ in K.edge_occurrences.items()}
+        self.counter = fresh_start([*self.occurrences, *self.faces])
+        self.expected = K.invariant_report().key()
         self.counts = None  # count_invariants after the last move
         total = sum(len(w) for w in self.faces.values()) + len(self.faces)
         self.budget = 600 + 80 * total
@@ -471,8 +382,9 @@ class _Rewriter:
         if self.budget <= 0:
             raise InternalInvariantViolation(f"{phase} did not terminate")
 
-    def mutate(self, changes: dict, kind: str, rule: str, args: tuple):
-        """Apply ``changes`` (face -> new word, or None to drop), record, check."""
+    def mutate(self, changes: dict, kind: str, rule: str, args: tuple, beside=None):
+        """Apply ``changes`` (face -> new word, or None to drop), record,
+        check.  New faces go last, or right after the face ``beside``."""
         before = tuple((n, self.faces[n]) for n in changes if n in self.faces)
         for n, w in changes.items():
             if w is None:
@@ -480,6 +392,12 @@ class _Rewriter:
             else:
                 self.faces[n] = w
         after = tuple((n, w) for n, w in changes.items() if w is not None)
+        if beside is not None:
+            old = {n for n, _ in before}
+            new = [n for n, _ in after if n not in old]
+            names = [n for n in self.faces if n not in new]
+            i = names.index(beside) + 1
+            self.faces = {n: self.faces[n] for n in names[:i] + new + names[i:]}
         self.trace.append(Move(kind, rule, args, before, after))
         self._cache = None
         self.check(before, after)
@@ -490,6 +408,7 @@ class _Rewriter:
             raise InternalInvariantViolation(
                 f"{kind}:{rule or '-'} changed invariants on {self.complex().describe()}"
             )
+        return self
 
     def check(self, before: tuple, after: tuple):
         """What :func:`build` checks, on the changed faces only: names of
@@ -523,10 +442,55 @@ class _Rewriter:
         if not ok:
             self.reject()
 
+    def joins(self) -> list:
+        """(edge, face1, face2) for every edge on two distinct faces, by
+        edge name, with face1 before face2 in face order."""
+        faces = self.faces.items()
+        first = {s.name: n for n, w in reversed(faces) for s in w}
+        last = {s.name: n for n, w in faces for s in w}
+        return [(e, first[e], last[e]) for e in sorted(last) if first[e] != last[e]]
+
     def reject(self):
         """Raise the error :func:`build` gives for the current faces."""
         build(self.faces, internal=True)
         raise InternalInvariantViolation("the per-move check and build disagree")
+
+    # -- the elementary moves; each returns the rewriter ----------------------
+
+    def p1(self, edge: str, b: str, c: str):
+        """P1: split ``edge`` into the string ``b c`` in every boundary."""
+        split = {edge: (b, c)}
+        changes = {n: x for n, w in self.faces.items() if (x := subst_p1(w, split)) != w}
+        return self.mutate(changes, "P1", "", (edge, b, c))
+
+    def p1_inverse(self, b: EdgeSym, c: EdgeSym, fresh: str):
+        """P1 inverse: contract the adjacent string ``b c`` to ``fresh``."""
+        faces = self.faces.items()
+        changes = {n: x for n, w in faces if (x := contract_pair(w, b, c, fresh)) != w}
+        if not any(s.name == fresh for w in changes.values() for s in w):
+            raise InternalInvariantViolation(f"contraction of {b!r} {c!r} matched nothing")
+        return self.mutate(changes, "P1inv", "", (repr(b), repr(c), fresh))
+
+    def p2(self, face: str, p: int, d: str, pieces=None):
+        """P2: cut ``face`` at position p along a fresh chord ``d`` into
+        ``w[:p] d`` and ``d' w[p:]``.  ``pieces`` names the two, appended
+        after the other faces; by default the first keeps the face's name
+        and place and the second takes a sibling name right after it."""
+        u, v = split_face(self.faces[face], p, d)
+        if pieces is None:
+            other = _free_face_name(self.faces, face)
+            changes, beside = {face: u, other: v}, face
+        else:
+            # a piece named like the face keeps its place
+            changes, beside = {face: None, pieces[0]: u, pieces[1]: v}, None
+        return self.mutate(changes, "P2", "", (face, p, d), beside)
+
+    def p2_inverse(self, face1: str, face2: str, edge: str):
+        """P2 inverse: merge ``face2`` into ``face1`` along ``edge``."""
+        merged = merge_words(self.faces[face1], self.faces[face2], edge)
+        return self.mutate({face1: merged, face2: None}, "P2inv", "", (face1, face2, edge))
+
+    # -- normalization ----------------------------------------------------------
 
     def reorient(self, face: str):
         """Re-choose the stored orientation of a face (free operation)."""
@@ -572,74 +536,42 @@ class _Rewriter:
     def eliminate(self, anchor: EdgeSym, victim: EdgeSym):
         """Remove the victim's edge; ``anchor victim'`` occurs in some boundary."""
         target = victim.inv()
-        found = None
-        for name in self.faces:
-            for flip in (False, True):
-                w = inverse_word(self.faces[name]) if flip else self.faces[name]
-                n = len(w)
-                for i in range(n):
-                    if w[i] == anchor and w[(i + 1) % n] == target:
-                        found = (name, flip, i)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            raise InternalInvariantViolation(
-                f"adjacency {anchor!r} {target!r} not found"
+
+        def at(w):  # index of the first cyclic ``anchor target`` in w, or None
+            n = len(w)
+            return next(
+                (i for i in range(n) if w[i] == anchor and w[(i + 1) % n] == target), None
             )
-        name, flip, i = found
+
+        found = next(
+            (
+                (name, flip)
+                for name, w in self.faces.items()
+                for flip in (False, True)
+                if at(inverse_word(w) if flip else w) is not None
+            ),
+            None,
+        )
+        if found is None:
+            raise InternalInvariantViolation(f"adjacency {anchor!r} {target!r} not found")
+        name, flip = found
         if flip:
             self.reorient(name)
-            w = self.faces[name]
-            i = next(
-                k for k in range(len(w))
-                if w[k] == anchor and w[(k + 1) % len(w)] == target
-            )
-        w = self.faces[name]
+        i = at(self.faces[name])
         if i:
-            self.mutate({name: rotate(w, i)}, "composite", "rotate", (name,))
-            w = self.faces[name]
+            self.mutate({name: rotate(self.faces[name], i)}, "composite", "rotate", (name,))
         # split off the small face (anchor victim' c); remainder keeps the rest
         c = self.fresh_edge()
         small, rest = self.fresh_face(), self.fresh_face()
-        self.mutate(
-            {
-                name: None,
-                small: (anchor, target, EdgeSym(c, 1)),
-                rest: (EdgeSym(c, -1),) + w[2:],
-            },
-            "P2",
-            "",
-            (name, 2, c),
-        )
+        self.p2(name, 2, c, (small, rest))
         # merge the small face into the holder of the other victim occurrence
-        other = None
-        for fname, fw in self.faces.items():
-            if fname != small and any(s.name == victim.name for s in fw):
-                other = fname
-                break
+        other = next(
+            (f for f, w in self.faces.items() if f != small and victim.name in (s.name for s in w)),
+            None,
+        )
         if other is None:
             raise InternalInvariantViolation(f"victim {victim!r} occurs only once")
-        merged = _merge_words(self.faces[other], self.faces[small], victim.name)
-        self.mutate(
-            {other: merged, small: None}, "P2inv", "", (other, small, victim.name)
-        )
-
-    def contract(self, b: EdgeSym, c: EdgeSym):
-        """P1 inverse: contract the adjacent string ``b c`` to a fresh edge."""
-        fresh = self.fresh_edge()
-        changes = {}
-        for n, w in self.faces.items():
-            new = _contract_pair(w, b, c, fresh)
-            if new != w:
-                changes[n] = new
-        if not any(s.name == fresh for w in changes.values() for s in w):
-            raise InternalInvariantViolation(
-                f"contraction of {b!r} {c!r} matched nothing"
-            )
-        self.mutate(changes, "P1inv", "", (repr(b), repr(c), fresh))
+        self.p2_inverse(other, small, victim.name)
 
     # -- step 2a: one inner vertex --------------------------------------------
 
@@ -692,26 +624,9 @@ class _Rewriter:
         if self.inner_vertices():
             return
         name = next(iter(self.faces))
-        w = self.faces[name]
         d = self.fresh_edge()
-        lune = self.fresh_face()
-        self.mutate(
-            {name: w + (EdgeSym(d, 1),), lune: (EdgeSym(d, -1),)},
-            "P2",
-            "",
-            (name, len(w), d),
-        )
-        x, y = self.fresh_edge(), self.fresh_edge()
-        split = {d: (x, y)}
-        self.mutate(
-            {
-                name: _subst_p1(self.faces[name], split),
-                lune: _subst_p1(self.faces[lune], split),
-            },
-            "P1",
-            "",
-            (d, x, y),
-        )
+        self.p2(name, len(self.faces[name]), d, (name, self.fresh_face()))
+        self.p1(d, self.fresh_edge(), self.fresh_edge())
         if not self.inner_vertices():
             raise InternalInvariantViolation("failed to create an inner vertex")
 
@@ -740,7 +655,7 @@ class _Rewriter:
                     raise InternalInvariantViolation(
                         f"bare border vertex {v.members} after inner-vertex step"
                     )
-                self.contract(x, y.inv())
+                self.p1_inverse(x, y.inv(), self.fresh_edge())
             else:
                 inner_vs = self.inner_vertices()
                 anchor, victim = self._pick_pair(
@@ -753,21 +668,11 @@ class _Rewriter:
     def merge_faces(self):
         while len(self.faces) > 1:
             self.spend("face merging")
-            names = [n for n in self.faces]
-            index = {n: i for i, n in enumerate(names)}
-            candidate = None
-            for e, occ in sorted(self.complex().edge_occurrences.items()):
-                if len(occ) == 2 and occ[0][0] != occ[1][0]:
-                    f1, f2 = names[occ[0][0]], names[occ[1][0]]
-                    if index[f2] < index[f1]:
-                        f1, f2 = f2, f1
-                    candidate = (e, f1, f2)
-                    break
-            if candidate is None:
+            joins = self.joins()
+            if not joins:
                 raise InternalInvariantViolation("multiple faces but no shared edge")
-            e, f1, f2 = candidate
-            merged = _merge_words(self.faces[f1], self.faces[f2], e)
-            self.mutate({f1: merged, f2: None}, "P2inv", "", (f1, f2, e))
+            e, f1, f2 = joins[0]
+            self.p2_inverse(f1, f2, e)
 
     def _reserved(self) -> set:
         """Edges locked inside loops: each hole edge plus its collar."""
@@ -1022,47 +927,40 @@ def normalize(K: CellComplex) -> NormalizationResult:
 def scramble(K: CellComplex, seed: int, n_moves: int) -> CellComplex:
     """Apply n random applicable moves; the result is equivalent to K."""
     rng = random.Random(seed)
-    cur = K
-    counter = _fresh_start(K)
+    rw = _Rewriter(K)
     for _ in range(n_moves):
-        cur, counter = scramble_step(cur, rng, counter)
-    return cur
+        scramble_step(rw, rng)
+    return rw.complex()
 
 
-def scramble_step(K: CellComplex, rng: random.Random, counter: int):
-    """One uniformly chosen applicable move; returns (complex, counter)."""
-    candidates = []
-    for e in K.edges:
-        candidates.append(("p1", e))
-    for name, w in K.faces:
-        if w:
-            for p in range(1, len(w)):
-                candidates.append(("p2", name, p))
-        else:
-            candidates.append(("p2empty", name))
-    for v in K.vertices():
-        if len(v.members) == 2:
-            x, y = v.members
-            if x.name != y.name:
-                if sym_key(x) > sym_key(y):
-                    x, y = y, x
-                candidates.append(("p1inv", repr(x), repr(y.inv())))
-    names = [n for n, _ in K.faces]
-    for e, occ in sorted(K.edge_occurrences.items()):
-        if len(occ) == 2 and occ[0][0] != occ[1][0]:
-            candidates.append(("p2inv", names[occ[0][0]], names[occ[1][0]], e))
-    move = rng.choice(candidates)
-    if move[0] == "p1":
-        b, c = f"_g{counter}", f"_g{counter + 1}"
-        return apply_p1(K, move[1], b, c), counter + 2
-    if move[0] == "p2":
-        return apply_p2(K, move[1], move[2], f"_g{counter}"), counter + 1
-    if move[0] == "p2empty":
-        # cut the null-boundary face into two lunes sharing one chord
-        faces = dict(K.faces)
-        other = _free_face_name(faces, move[1])
-        d = f"_g{counter}"
-        return _rebuild(K, _split_face(faces, move[1], 0, d, other)), counter + 1
-    if move[0] == "p1inv":
-        return apply_p1_inverse(K, move[1], move[2], f"_g{counter}"), counter + 1
-    return apply_p2_inverse(K, move[1], move[2], move[3]), counter
+def scramble_step(rw: _Rewriter, rng: random.Random):
+    """Apply one uniformly chosen applicable move to the rewriter's state.
+
+    The candidates, in order: P1 on every edge by name; P2 at every
+    position of every face in face order (position 0 of an empty face,
+    which is cut into two lunes); P1 inverse at every two-member vertex
+    in canonical vertex order; P2 inverse on every edge by name that
+    joins two faces.
+    """
+    candidates = [("p1", e) for e in sorted(rw.occurrences)]
+    for name, w in rw.faces.items():
+        candidates += [("p2", name, p) for p in range(1, len(w))] if w else [("p2", name, 0)]
+    # a two-member vertex reads (x, y) canonically with x before y; only
+    # these, not every vertex, are put in canonical order
+    borders, inners, _ = rw.complex()._vertex_runs or ((), (), ())
+    pairs = sorted(
+        (sym_key(x), sym_key(y), x, y)
+        for x, y in (sorted(r, key=sym_key) for r in borders + inners if len(r) == 2)
+        if x.name != y.name
+    )
+    candidates += [("p1inv", x, y.inv()) for *_, x, y in pairs]
+    candidates += [("p2inv", f1, f2, e) for e, f1, f2 in rw.joins()]
+    move, *args = rng.choice(candidates)
+    if move == "p1":
+        rw.p1(args[0], rw.fresh_edge(), rw.fresh_edge())
+    elif move == "p2":
+        rw.p2(*args, rw.fresh_edge())
+    elif move == "p1inv":
+        rw.p1_inverse(*args, rw.fresh_edge())
+    else:
+        rw.p2_inverse(*args)

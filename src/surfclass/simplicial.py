@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cellcomplex import CellComplex, build as build_complex
-from .edgeword import EdgeSym, inverse_pair_at, rotate
+from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
 from .errors import DegenerateTriangleError, InternalInvariantViolation
 from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, smith_normal_form
 from .intlinalg import rank  # noqa: F401 - surfbench/spans.py wraps simplicial.rank
-from .rewrite import _fresh_start, _split_face, _subst_p1
 
 
 @dataclass(frozen=True)
@@ -252,7 +251,7 @@ def _bulk_split_all_edges(faces: dict, counter: list) -> dict:
     for e in sorted({s.name for w in faces.values() for s in w}):
         split[e] = (f"_g{counter[0]}", f"_g{counter[0] + 1}")
         counter[0] += 2
-    return {n: _subst_p1(w, split) for n, w in faces.items()}
+    return {n: subst_p1(w, split) for n, w in faces.items()}
 
 
 def _bulk_star_faces(faces: dict, counter: list) -> dict:
@@ -336,11 +335,11 @@ def refine_to_triangulation(K: CellComplex):
     """
     report = K.invariant_report()
     faces = _cancel_inverse_pairs(dict(K.faces))
-    counter = [_fresh_start(K)]
+    counter = [fresh_start([*K.edges, *K.face_map])]
     # a null-boundary face is first cut into two one-gon lunes
     if len(faces) == 1 and not next(iter(faces.values())):
-        name = next(iter(faces))
-        faces = _split_face(faces, name, 0, f"_g{counter[0]}", f"{name}_l")
+        name, w = next(iter(faces.items()))
+        faces = dict(zip((name, f"{name}_l"), split_face(w, 0, f"_g{counter[0]}")))
         counter[0] += 1
     faces = _bulk_split_all_edges(faces, counter)
     # one-gon faces become bigons whose stars are degenerate pillows;

@@ -32,7 +32,7 @@ from surfclass.rewrite import (
     make_canonical,
     normalize,
     scramble_step,
-    _fresh_start,
+    _Rewriter,
 )
 from surfclass.simplicial import (
     boundary_matrices,
@@ -88,15 +88,14 @@ def test_criterion_3_move_invariance_500_runs():
             key = K0.invariant_report().key()
             rng = random.Random(seed)
             n_moves = rng.randint(0, 60)
-            K = K0
-            counter = _fresh_start(K0)
+            rw = _Rewriter(K0)
             for _ in range(n_moves):
-                K, counter = scramble_step(K, rng, counter)
-                if K.invariant_report().key() != key:
+                scramble_step(rw, rng)
+                if rw.complex().invariant_report().key() != key:
                     failures += 1
                     break
             else:
-                if normalize(K).normal != form:
+                if normalize(rw.complex()).normal != form:
                     failures += 1
             runs += 1
             seed += 1

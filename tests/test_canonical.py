@@ -15,7 +15,6 @@ from surfclass.rewrite import (
     TYPE_I,
     TYPE_II,
     NormalForm,
-    _rebuild,
     _Rewriter,
     make_canonical,
     scramble,
@@ -108,18 +107,13 @@ def test_edges_sorted_and_unique():
         "a b a' b",     # orientability changes
         "a b a' b' c",  # a new border edge: one more contour
         "a a' b b'",    # same letters, more vertices: Euler changes
+        "a a b b",      # a torus word made nonorientable
     ],
 )
 def test_mutate_rejects_a_change_of_invariants(word):
     rw = _Rewriter(build({"A": "a b a' b'"}))
     with pytest.raises(InternalInvariantViolation):
         rw.mutate({"A": build({"A": word}).faces[0][1]}, "composite", "test", ())
-
-
-def test_rebuild_rejects_a_change_of_invariants():
-    K = build({"A": "a b a' b'"})
-    with pytest.raises(InternalInvariantViolation):
-        _rebuild(K, {"A": build({"A": "a a b b"}).faces[0][1]})
 
 
 def test_finish_rejects_a_form_the_invariants_do_not_predict():

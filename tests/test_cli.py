@@ -291,6 +291,68 @@ def test_classify_edge_in_three_triangles_names_user_vertices(files, capsys):
     assert not re.search(r"\be\d+\b", err)
 
 
+@pytest.mark.parametrize("case", ["pinched", "fin"])
+def test_validate_non_surface_triangulation_gives_one_coded_line(files, capsys, case):
+    # stdout and the exit code are as before; stderr names the violation
+    # that classify names for the same file
+    write, _ = files
+    if case == "pinched":
+        text = pinched_genus_two()[0]  # no border edges: read as closed
+    else:
+        text = "triangle a b c\ntriangle a b d\ntriangle a b x\n"  # border edges
+    path = write(f"{case}.tri", text)
+    assert run(["validate", path]) == 1
+    cap = capsys.readouterr()
+    assert "closed_surface: False\nbordered_surface: False\n" in cap.out
+    one_coded_line(cap.err, "E_NOT_A_SURFACE")
+    assert run(["classify", path]) == 1
+    assert capsys.readouterr().err == cap.err
+
+
+DISC = [("o", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]
+MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
+
+
+def test_classify_h1_equals_homology_h1_on_valid_triangulations(files, capsys, figure_triangulations):
+    # two independent routes to H1: the normal form and the SNF of the
+    # boundary matrices; each input is at most 30 triangles
+    write, _ = files
+    cases = dict(figure_triangulations, disc=DISC, mobius=MOBIUS_BAND)
+    for name, tris in cases.items():
+        assert len(tris) <= 30
+        path = write(f"{name}.tri", "".join(f"triangle {a} {b} {c}\n" for a, b, c in tris))
+
+        def payload(verb):
+            assert run([verb, path, "--json"]) == 0, name
+            return json.loads(capsys.readouterr().out)
+
+        report = payload("validate")
+        assert report["closed_surface"] or report["bordered_surface"], name
+        assert payload("classify")["h1"] == payload("homology")["H1"], name
+
+
+def test_fractal_render_one_map_ifs_is_bounded_in_iters(files, capsys, monkeypatch):
+    # one map keeps the scene at one segment, so the iteration count is
+    # what is bounded; a stub records what would have been iterated
+    rendered = []
+
+    def stub(system, seed, iters):
+        rendered.append(iters)
+        return seed
+
+    monkeypatch.setattr(cli, "ifs_iterate", stub)
+    write, tmp = files
+    ifs = write("one.ifs", "0.9999 0 0 0.9999 0 0\n")
+    seed = write("seg.pts", "0,0\n1,0\n")
+    argv = ["fractal-render", "--ifs", ifs, "--seed-file", seed, "--out", str(tmp / "o.svg")]
+    for iters in (10**9, cli.MAX_PRIMITIVES + 1):
+        assert run(argv + ["--iters", str(iters)]) == 1
+        one_coded_line(capsys.readouterr().err, "E_RENDER_LIMIT")
+    assert rendered == []
+    assert run(argv + ["--iters", str(cli.MAX_PRIMITIVES)]) == 0
+    assert rendered == [cli.MAX_PRIMITIVES]
+
+
 def test_fractal_render_rejects_a_render_over_the_primitive_cap(files, capsys, monkeypatch):
     # 3 seed segments x 3^60: refused before any iteration or allocation
     def no_render(*args):

@@ -1,9 +1,11 @@
-"""The per-move check of ``normalize`` against a full ``build``.
+"""The per-move check of the move engine against a full ``build``.
 
-``_Rewriter.mutate`` keeps edge occurrence counts up to date from each
-move's before/after words, checks names and multiplicity on the changed
-faces only, and counts the invariants in one pass.  These tests hold it
-to what ``build`` and ``invariant_report`` say about the same faces.
+``_Rewriter.mutate`` applies every move of ``normalize``, ``scramble``,
+``replay_trace`` and the public ``apply_*``.  It keeps edge occurrence
+counts up to date from each move's before/after words, checks names and
+multiplicity on the changed faces only, and counts the invariants in
+one pass.  These tests hold it to what ``build`` and
+``invariant_report`` say about the same faces.
 """
 
 import pytest
@@ -37,8 +39,8 @@ def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatc
     real = _Rewriter.mutate
     moves = []
 
-    def checked(self, changes, kind, rule, args):
-        real(self, changes, kind, rule, args)
+    def checked(self, changes, kind, *args, **kwargs):
+        real(self, changes, kind, *args, **kwargs)
         K = build(self.faces, internal=True)
         assert self.occurrences == {e: len(o) for e, o in K.edge_occurrences.items()}
         key = count_invariants(list(self.faces.values()))[0].key()
@@ -46,10 +48,13 @@ def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatc
         # known by construction, independently of the counting pass
         assert key == (form.orientable(), form.q, form.euler())
         moves.append(kind)
+        return self
 
     monkeypatch.setattr(_Rewriter, "mutate", checked)
     for seed in range(3):
+        start = len(moves)
         K = scramble(make_canonical(form), 1000 + seed, 20)
+        assert len(moves) == start + 20  # every scramble move is checked
         assert normalize(K).normal == form
     assert moves
 
@@ -62,11 +67,38 @@ def test_normalize_builds_no_complex_per_move(monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    K = scramble(make_canonical(NormalForm(TYPE_II, 3, 2)), 5, 30)
+    K0 = make_canonical(NormalForm(TYPE_II, 3, 2))
+    K = scramble(K0, 5, 30)
     monkeypatch.setattr(rewrite, "build", counting)
     res = normalize(K)
     assert len(res.trace) > 10
+    # scramble applies its moves through the same checked state
+    assert scramble(K0, 5, 30) == K
     assert calls == []
+
+
+def test_public_moves_run_the_engine_check(monkeypatch):
+    real_mutate, real_build = _Rewriter.mutate, rewrite.build
+    kinds, builds = [], []
+
+    def mutate(self, changes, kind, *args, **kwargs):
+        kinds.append(kind)
+        return real_mutate(self, changes, kind, *args, **kwargs)
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real_build(*args, **kwargs)
+
+    K = build({"A": "a b a' b'"})
+    monkeypatch.setattr(_Rewriter, "mutate", mutate)
+    monkeypatch.setattr(rewrite, "build", counting)
+    K = rewrite.apply_p1(K, "a", "x", "y")
+    K = rewrite.apply_p1_inverse(K, "x", "y", "z")
+    K = rewrite.apply_p2(K, "A", 2, "d")
+    K = rewrite.apply_p2_inverse(K, "A", "A_2", "d")
+    assert kinds == ["P1", "P1inv", "P2", "P2inv"]
+    assert builds == []
+    assert K.invariant_report().key() == (True, 0, 0)
 
 
 def faces_of(spec):

@@ -101,6 +101,16 @@ def test_p2_examples():
         apply_p2(K, "A", 0, "e")
 
 
+def test_p2_face_order():
+    # the public cut puts its new piece right after the cut face, and the
+    # inverse keeps the first face's place
+    K = build({"A": "a b c", "B": "c' d", "A_2": "d' e"})
+    split = apply_p2(K, "A", 1, "x")
+    assert [n for n, _ in split.faces] == ["A", "A_3", "B", "A_2"]
+    merged = apply_p2_inverse(split, "A_3", "A", "x")
+    assert [n for n, _ in merged.faces] == ["A_3", "B", "A_2"]
+
+
 def test_p2_chi_invariant_random():
     rng = random.Random(5)
     for seed in range(50):
