@@ -50,9 +50,6 @@ class Vertex:
     kind: str
     members: tuple
 
-    def __contains__(self, s: EdgeSym) -> bool:
-        return s in self.members
-
 
 @dataclass(frozen=True)
 class Contour:
@@ -101,9 +98,6 @@ class CellComplex:
 
     def border_edges(self) -> tuple:
         return tuple(e for e in self.edges if len(self.edge_occurrences[e]) == 1)
-
-    def inner_edges(self) -> tuple:
-        return tuple(e for e in self.edges if len(self.edge_occurrences[e]) == 2)
 
     # -- vertices and invariants via the end graph ----------------------
 

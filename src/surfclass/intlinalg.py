@@ -147,9 +147,6 @@ class FgAbelianGroup:
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
 
 def group_format(G: FgAbelianGroup) -> str:
     """Canonical rendering, e.g. ``Z^2``, ``Z (+) Z/2``, ``0``."""

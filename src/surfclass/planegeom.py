@@ -7,6 +7,7 @@ All coordinates are 64-bit floats; tolerances are stated per operation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -132,46 +133,54 @@ def ifs_iterate(sys: IFS, scene: Scene, n: int) -> Scene:
     return Scene(prims)
 
 
-class _Grid:
-    """Uniform-bucket exact nearest-neighbor search over a point set."""
-
-    def __init__(self, pts, cell):
-        self.cell = cell
-        self.buckets = {}
-        for x, y in pts:
-            self.buckets.setdefault((int(x // cell), int(y // cell)), []).append((x, y))
-
-    def nearest(self, p) -> float:
-        px, py = p
-        cx, cy = int(px // self.cell), int(py // self.cell)
-        best = math.inf
-        r = 0
-        while True:
-            if r > 0 and (r - 1) * self.cell >= best:
-                return best
-            ring = []
-            if r == 0:
-                ring.append((cx, cy))
-            else:
-                for dx in range(-r, r + 1):
-                    ring.append((cx + dx, cy - r))
-                    ring.append((cx + dx, cy + r))
-                for dy in range(-r + 1, r):
-                    ring.append((cx - r, cy + dy))
-                    ring.append((cx + r, cy + dy))
-            for key in ring:
-                for qx, qy in self.buckets.get(key, ()):
-                    d = math.hypot(px - qx, py - qy)
-                    if d < best:
-                        best = d
-            r += 1
+def _scan(strip, px, py, gap, best, bound):
+    """Nearest distance from (px, py) to a strip's (y, x) points, walking
+    outward in y while hypot(gap, dy) < best; stops once within bound."""
+    hypot = math.hypot
+    t = bisect_left(strip, (py, px))
+    for walk in (range(t, len(strip)), range(t - 1, -1, -1)):
+        for i in walk:
+            qy, qx = strip[i]
+            if hypot(gap, py - qy) >= best:
+                break
+            d = hypot(px - qx, py - qy)
+            if d < best:
+                best = d
+                if best <= bound:
+                    return best
+    return best
 
 
-def _directed_hausdorff(P, Q, span: float) -> float:
-    # bucket width tuned to the expected nearest distance for dusty sets
-    cell = span / max(int(math.sqrt(len(Q))), 1)
-    grid = _Grid(Q, cell)
-    return max(grid.nearest(p) for p in P)
+def _directed_hausdorff(P, Q) -> float:
+    """max over p in P of min over q in Q of hypot(px - qx, py - qy).
+
+    Q is cut by (x, y) rank into strips of about sqrt|Q| points, each
+    sorted by (y, x).  A query walks strips outward in x from the one its
+    (x, y) bisects into, and stops at the first point within the running
+    maximum, which cannot raise it (Taha & Hanbury, TPAMI 2015).  Every
+    bound is built from the same coordinate differences as the distances,
+    so the result equals a brute-force scan's.
+    """
+    Q = sorted((x, y) for x, y in Q)
+    size = math.isqrt(len(Q))
+    cuts = range(0, len(Q), size)
+    strips = [sorted((y, x) for x, y in Q[i:i + size]) for i in cuts]
+    heads = [Q[i] for i in cuts]
+    hi = [Q[min(i + size, len(Q)) - 1][0] for i in cuts]
+    h = 0.0
+    for px, py in P:
+        home = max(bisect_left(heads, (px, py)) - 1, 0)
+        best = _scan(strips[home], px, py, 0.0, math.inf, h)
+        j = home - 1
+        while best > h and j >= 0 and px - hi[j] < best:
+            best = _scan(strips[j], px, py, px - hi[j], best, h)
+            j -= 1
+        j = home + 1
+        while best > h and j < len(strips) and heads[j][0] - px < best:
+            best = _scan(strips[j], px, py, heads[j][0] - px, best, h)
+            j += 1
+        h = max(h, best)
+    return h
 
 
 def hausdorff_distance(A, B) -> float:
@@ -179,26 +188,7 @@ def hausdorff_distance(A, B) -> float:
     A, B = list(A), list(B)
     if not A or not B:
         raise EmptySetError("Hausdorff distance needs nonempty sets")
-    if len(A) * len(B) <= 10000:
-        return hausdorff_brute(A, B)
-    xs = [x for x, _ in A] + [x for x, _ in B]
-    ys = [y for _, y in A] + [y for _, y in B]
-    span = max(max(xs) - min(xs), max(ys) - min(ys))
-    if span == 0.0:
-        return 0.0
-    return max(_directed_hausdorff(A, B, span), _directed_hausdorff(B, A, span))
-
-
-def hausdorff_brute(A, B) -> float:
-    """Quadratic reference implementation; oracle for small sets."""
-    A, B = list(A), list(B)
-    if not A or not B:
-        raise EmptySetError("Hausdorff distance needs nonempty sets")
-
-    def directed(P, Q):
-        return max(min(math.hypot(px - qx, py - qy) for qx, qy in Q) for px, py in P)
-
-    return max(directed(A, B), directed(B, A))
+    return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
 
 
 def certify_convergence(sys: IFS, a0, steps: int, tol: float = 1e-9):

@@ -1,8 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from surfclass import planegeom
 from surfclass.errors import (
     EmptySetError,
     NotContractingError,
@@ -18,7 +21,6 @@ from surfclass.planegeom import (
     Scene,
     certify_convergence,
     contraction_ratio,
-    hausdorff_brute,
     hausdorff_distance,
     ifs_iterate,
     preset,
@@ -26,6 +28,8 @@ from surfclass.planegeom import (
     snowflake,
     winding_number,
 )
+
+from geomutil import hausdorff_brute
 
 
 def test_contraction_ratio_examples():
@@ -90,12 +94,79 @@ def test_hausdorff_metric_axioms():
         assert dab <= dac + dcb + 1e-12 * max(1.0, dab)
 
 
-def test_hausdorff_grid_matches_brute():
-    rng = random.Random(5)
-    for _ in range(20):
-        A = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(150)]
-        B = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(150)]
-        assert hausdorff_distance(A, B) == pytest.approx(hausdorff_brute(A, B), abs=1e-14)
+_coord = st.floats(-2.0, 2.0)
+_lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: (p[0] / 4, p[1] / 4))
+_point = st.one_of(_lattice, st.tuples(_coord, _coord))
+_points = st.lists(_point, min_size=1, max_size=40)
+
+
+def _line(vertical):
+    return st.tuples(_coord, st.lists(_coord, min_size=1, max_size=40)).map(
+        lambda c: [(c[0], t) if vertical else (t, c[0]) for t in c[1]]
+    )
+
+
+LAYOUTS = st.one_of(
+    st.lists(_lattice, min_size=1, max_size=40),
+    _line(vertical=True),
+    _line(vertical=False),
+    st.lists(_point, min_size=1, max_size=3).flatmap(
+        lambda pts: st.lists(st.sampled_from(pts), min_size=1, max_size=30)
+    ),
+    st.lists(st.tuples(st.booleans(), _point), min_size=1, max_size=40).map(
+        lambda ps: [(x + 1000.0 * far, y) for far, (x, y) in ps]
+    ),
+    _points.map(lambda ps: ps + [(1e6, 0.0)]),
+    _point.map(lambda p: [p]),
+    _points,
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(LAYOUTS, LAYOUTS)
+def test_hausdorff_search_equals_brute(A, B):
+    # lattice ties, vertical and horizontal lines, duplicates, two
+    # clusters 1,000 apart, one far outlier, one-point sets
+    assert hausdorff_distance(A, B) == hausdorff_brute(A, B)
+
+
+def _work_guard_sets(family, n=10**4):
+    rng = random.Random(3)
+
+    def square(dx=0.0):
+        return [(rng.random() + dx, rng.random()) for _ in range(n)]
+
+    if family == "uniform":
+        return square(), square()
+    if family == "vertical line":
+        return [(0.0, rng.random()) for _ in range(n)], [(0.0, rng.random()) for _ in range(n)]
+    if family == "horizontal line":
+        return [(rng.random(), 0.0) for _ in range(n)], [(rng.random(), 0.0) for _ in range(n)]
+    if family == "one outlier":
+        return square()[1:] + [(1e6, 0.0)], square()
+    return square(), square(1000.0)
+
+
+@pytest.mark.parametrize(
+    "family", ["uniform", "vertical line", "horizontal line", "one outlier", "far squares"]
+)
+def test_hausdorff_work_is_m_log_m(monkeypatch, family):
+    A, B = _work_guard_sets(family)
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(math, "hypot", counted("hypot", math.hypot))
+    monkeypatch.setattr(planegeom, "bisect_left", counted("bisect", planegeom.bisect_left))
+    hausdorff_distance(A, B)
+    m = len(A) + len(B)
+    assert 0 < calls["hypot"] <= m * math.log2(m)
+    assert 0 < calls["bisect"] <= m * math.log2(m)
 
 
 def test_contraction_inequality_on_sets():
