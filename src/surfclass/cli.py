@@ -23,6 +23,7 @@ from .classify import to_json_dict
 from .edgeword import format_word
 from .errors import (
     FileFormatError,
+    InternalInvariantViolation,
     MalformedTokenError,
     NotASurfaceError,
     RenderLimitError,
@@ -132,7 +133,14 @@ def cmd_classify(args, out):
             bordered = validate_bordered_surface(obj)
             if not bordered.ok:
                 raise _not_a_surface(closed, bordered)
+        # the glued complex is one polygon with the triangulation's chi
+        nv, ne, nt = obj.counts()
         obj = to_cell_complex(obj)
+        got, want = (len(obj.faces), obj.invariant_report().euler), (1, nv - ne + nt)
+        if got != want:
+            raise InternalInvariantViolation(
+                f"gluing {nt} triangles gave (faces, chi) {got}, expected {want}"
+            )
     sc = classify_surface(obj)
     payload = to_json_dict(sc)
     if args.json:

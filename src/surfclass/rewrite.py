@@ -576,6 +576,15 @@ class _Rewriter:
     # -- step 2a: one inner vertex --------------------------------------------
 
     def reduce_inner_vertices(self):
+        """Eliminate inner vertices until at most one is left.
+
+        The survivor is the inner vertex with the most members, and each
+        step eliminates one corner of the other inner vertex with the
+        fewest members; both ties go to the first in canonical order.
+        Each elimination moves one corner of that small vertex onto
+        another, and its last corner goes with an ``x x'`` cancellation,
+        so the cost follows the small vertices instead of the big one.
+        """
         while True:
             self.spend("inner vertex reduction")
             self.sweep_cancel()
@@ -584,7 +593,9 @@ class _Rewriter:
             inner = self.inner_vertices()
             if len(inner) <= 1:
                 return
-            anchor, victim = self._pick_pair(inner[1])  # inner[0] survives
+            keep = max(inner, key=lambda v: len(v.members))
+            small = min((v for v in inner if v is not keep), key=lambda v: len(v.members))
+            anchor, victim = self._pick_pair(small)
             self.eliminate(anchor, victim)
 
     def _pick_pair(self, v: Vertex, inner_vertex: Vertex = None):

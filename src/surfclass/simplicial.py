@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .cellcomplex import CellComplex, build as build_complex
 from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
-from .errors import DegenerateTriangleError, InternalInvariantViolation
+from .errors import DegenerateTriangleError, EdgeMultiplicityError, InternalInvariantViolation
 from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, smith_normal_form
 from .intlinalg import rank  # noqa: F401 - surfbench/spans.py wraps simplicial.rank
 
@@ -378,19 +378,49 @@ def refine_to_triangulation(K: CellComplex):
 
 
 def to_cell_complex(K: SimplicialComplex2) -> CellComplex:
-    """View a triangulated complex as a cell complex (for orientability).
+    """View a triangulated complex as a cell complex: one polygon per
+    connected component, glued along a dual spanning tree.
 
-    Each triangle becomes a face whose word walks its three directed
-    sides; shared undirected edges get one name with signs by direction.
+    Edge ``(a, b)`` (a < b) is named ``e<i>`` by its place in
+    ``K.edges``, read forward from a to b.  Each component starts from
+    its first triangle ``(a, b, c)``, whose sides a->b, b->c, c->a are
+    walked in order.  A side whose edge reaches an unvisited triangle
+    steps into it: that triangle is oriented to hold the side's inverse
+    and the walk goes on over its other two sides in place of the side
+    (Massey, *Algebraic Topology: An Introduction*, 1967, ch. 1).  Any
+    other side emits its letter.  One O(T) walk gives the polygon that
+    T - 1 ``merge_words`` calls along the tree would, with T + 2 letters
+    for T triangles.
     """
     edge_name = {e: f"e{i}" for i, e in enumerate(K.edges)}
+    for e, ts in K.edge_triangles.items():
+        if len(ts) > 2:
+            raise EdgeMultiplicityError(edge_name[e], len(ts))
 
     def directed(a, b):
-        if (a, b) in edge_name:
+        if a < b:
             return EdgeSym(edge_name[(a, b)], 1)
         return EdgeSym(edge_name[(b, a)], -1)
 
+    visited = set()
     faces = {}
-    for i, (a, b, c) in enumerate(K.triangles):
-        faces[f"T{i}"] = (directed(a, b), directed(b, c), directed(c, a))
+    for root in K.triangles:
+        if root in visited:
+            continue
+        visited.add(root)
+        a, b, c = root
+        word = []
+        stack = [(c, a, root), (b, c, root), (a, b, root)]  # sides, next on top
+        while stack:
+            x, y, t = stack.pop()
+            e = (x, y) if x < y else (y, x)
+            nxt = next((u for u in K.edge_triangles[e] if u != t), None)
+            if nxt is None or nxt in visited:
+                word.append(directed(x, y))
+                continue
+            visited.add(nxt)
+            z = next(v for v in nxt if v != x and v != y)
+            # nxt reads y x z: its sides x->z, z->y replace x->y
+            stack += [(z, y, nxt), (x, z, nxt)]
+        faces[f"T{len(faces)}"] = tuple(word)
     return build_complex(faces, internal=True)

@@ -11,7 +11,9 @@ import surfclass
 from surfclass import cli
 from surfclass.cli import run
 from surfclass.rewrite import NormalForm, make_canonical
-from surfclass.simplicial import refine_to_triangulation
+from surfclass.simplicial import build_simplicial, refine_to_triangulation, to_cell_complex
+
+from simputil import DISC, MOBIUS_BAND, faces_per_triangle
 
 TORUS_CC = "# opposite sides identified\nsurface torus\nface A : a b a' b'\n"
 BAD_CC = "face A : a a a\n"
@@ -309,10 +311,6 @@ def test_validate_non_surface_triangulation_gives_one_coded_line(files, capsys, 
     assert capsys.readouterr().err == cap.err
 
 
-DISC = [("o", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]
-MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
-
-
 def test_classify_h1_equals_homology_h1_on_valid_triangulations(files, capsys, figure_triangulations):
     # two independent routes to H1: the normal form and the SNF of the
     # boundary matrices; each input is at most 30 triangles
@@ -329,6 +327,23 @@ def test_classify_h1_equals_homology_h1_on_valid_triangulations(files, capsys, f
         report = payload("validate")
         assert report["closed_surface"] or report["bordered_surface"], name
         assert payload("classify")["h1"] == payload("homology")["H1"], name
+
+
+@pytest.mark.parametrize("case", ["faces", "euler"])
+def test_classify_tri_cross_checks_the_glued_polygon(files, capsys, monkeypatch, figure_triangulations, case):
+    # a gluing that leaves several faces, or one face of the wrong
+    # surface, is caught before normalize with one coded line
+    write, _ = files
+    if case == "faces":
+        broken = faces_per_triangle
+    else:
+        torus = to_cell_complex(build_simplicial(figure_triangulations["torus"]))
+        broken = lambda K: torus  # noqa: E731
+    monkeypatch.setattr(cli, "to_cell_complex", broken)
+    assert run(["classify", write("tet.tri", TRI_FILE)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    one_coded_line(cap.err, "E_INTERNAL")
 
 
 def test_fractal_render_one_map_ifs_is_bounded_in_iters(files, capsys, monkeypatch):

@@ -2,10 +2,14 @@
 
 The vertex order of a cell complex picks the eliminated pairs in
 ``normalize``, and so the ``--trace`` text, and it names the ``v<i>``
-vertices that refinement writes.  These files pin that output; they
-were captured before the vertex partition moved to a linear
-canonicalizer and must not change unless an output change is intended
-(and declared in CHANGES.md).
+vertices that refinement writes.  In the inner-vertex step the inner
+vertex with the most members survives and the other one with the
+fewest members is eliminated, ties going to the first in canonical
+order.  These files pin that output and must not change unless an
+output change is intended (and declared in CHANGES.md).  The three
+``*.scramble_trace`` files with more than one inner vertex and the
+``scramble_II_3_2`` trace were regenerated when that survivor rule
+replaced "keep the first inner vertex, eliminate the second".
 """
 
 from pathlib import Path

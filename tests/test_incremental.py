@@ -21,7 +21,6 @@ from surfclass.errors import (
     SurfclassError,
 )
 from surfclass.rewrite import (
-    TYPE_I,
     TYPE_II,
     NormalForm,
     _Rewriter,
@@ -30,11 +29,9 @@ from surfclass.rewrite import (
     scramble,
 )
 
-FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
-FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 5) for q in range(4)]
+from simputil import SMALL_FORMS, form_id
 
-
-@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
 def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatch):
     real = _Rewriter.mutate
     moves = []

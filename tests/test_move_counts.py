@@ -1,0 +1,95 @@
+"""Guards on how much work ``normalize`` does, counted, not timed.
+
+Every move runs the full per-move check, so ``normalize`` costs about
+moves x size: the number of moves is the figure to keep down.  A
+``.tri`` is glued into one polygon before it is normalized, and the
+inner-vertex step eliminates the small vertices and keeps the big one.
+The rewriter's budget is 600 + 80 * (letters + faces) ``spend`` calls;
+the spend ratio measures how close a run comes to it.
+"""
+
+import random
+
+import pytest
+
+from surfclass.rewrite import (
+    TYPE_I,
+    TYPE_II,
+    NormalForm,
+    _Rewriter,
+    apply_p1,
+    apply_p2,
+    make_canonical,
+    normalize,
+    scramble,
+)
+from surfclass.simplicial import build_simplicial, to_cell_complex
+
+from simputil import SMALL_FORMS, form_id, refined_triangles
+
+SPEND_RATIO_MAX = 8
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """normalize(K) -> (moves, spend calls per letter + face of K)."""
+    calls = []
+    real = _Rewriter.spend
+
+    def spend(self, phase):
+        calls.append(phase)
+        return real(self, phase)
+
+    monkeypatch.setattr(_Rewriter, "spend", spend)
+
+    def run(K, form):
+        calls.clear()
+        res = normalize(K)
+        assert res.normal == form
+        size = sum(len(w) for _, w in K.faces) + len(K.faces)
+        return len(res.trace), len(calls) / size
+
+    return run
+
+
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
+def test_tri_normalize_makes_at_most_four_moves_per_triangle(form, counted):
+    # one face per triangle took about 10 moves per triangle
+    T = build_simplicial(refined_triangles(form))
+    moves, ratio = counted(to_cell_complex(T), form)
+    assert moves <= 4 * len(T.triangles)
+    assert ratio <= SPEND_RATIO_MAX
+
+
+def split_and_cut(form, rng):
+    """The benchmark's cell-complex shape: the canonical complex with one
+    inner edge split (P1) and two face cuts (P2)."""
+    K = make_canonical(form)
+    inner = [e for e in K.edges if len(K.edge_occurrences[e]) == 2]
+    K = apply_p1(K, rng.choice(inner), "_g0", "_g1")
+    for d in ("_g2", "_g3"):
+        name, w = rng.choice([(n, w) for n, w in K.faces if len(w) >= 2])
+        K = apply_p2(K, name, rng.randrange(1, len(w)), d)
+    return K
+
+
+@pytest.mark.parametrize("kind", [TYPE_I, TYPE_II])
+@pytest.mark.parametrize("p", [8, 16, 32])
+def test_split_and_cut_normalizes_in_p_plus_20_moves(kind, p, counted):
+    # eliminating the split's big vertex took 531 moves at (I, 32, 1)
+    for q in range(4):
+        form = NormalForm(kind, p, q)
+        for seed in range(3):
+            moves, _ = counted(split_and_cut(form, random.Random(seed)), form)
+            assert moves <= p + 20, (form, seed)
+
+
+def test_scramble_spend_ratio_is_bounded(counted):
+    forms = [NormalForm(TYPE_I, p, q) for p in range(6) for q in range(4)]
+    forms += [NormalForm(TYPE_II, p, q) for p in range(1, 6) for q in range(4)]
+    worst = max(
+        counted(scramble(make_canonical(form), seed, 40), form)[1]
+        for form in forms
+        for seed in range(6)
+    )
+    assert worst <= SPEND_RATIO_MAX

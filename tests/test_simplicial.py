@@ -5,7 +5,12 @@ import pytest
 from surfclass import simplicial
 from surfclass.cellcomplex import build
 from surfclass.classify import h1_from_normal_form
-from surfclass.errors import DegenerateTriangleError, InternalInvariantViolation
+from surfclass.errors import (
+    DegenerateTriangleError,
+    DisconnectedError,
+    EdgeMultiplicityError,
+    InternalInvariantViolation,
+)
 from surfclass.intlinalg import FgAbelianGroup, IntMatrix
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, scramble
 from surfclass.simplicial import (
@@ -16,6 +21,16 @@ from surfclass.simplicial import (
     to_cell_complex,
     validate_bordered_surface,
     validate_closed_surface,
+)
+
+from simputil import (
+    DISC,
+    MOBIUS_BAND,
+    SMALL_FORMS,
+    faces_per_triangle,
+    form_id,
+    refined_triangles,
+    relabelled,
 )
 
 Z = FgAbelianGroup(1, ())
@@ -134,11 +149,7 @@ def test_homology_reduces_each_boundary_matrix_once(monkeypatch, figure_triangul
     assert {m for _, m in seen} == {data.d1, data.d2}
 
 
-FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
-FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 5) for q in range(4)]
-
-
-@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
 def test_refined_scramble_homology_matches_normal_form(form):
     K = scramble(make_canonical(form), 5, 12)
     _, simp = refine_to_triangulation(K)
@@ -218,3 +229,39 @@ def test_refine_scrambled_preserves_chi():
         refined, simp = refine_to_triangulation(K)
         nv, ne, nt = simp.counts()
         assert nv - ne + nt == K.euler_characteristic()
+
+
+# ---------------------------------------------------------------------------
+# gluing a triangulation into one polygon, against one face per triangle
+
+
+def assert_glued_like_oracle(triangles):
+    K = build_simplicial(triangles)
+    glued, oracle = to_cell_complex(K), faces_per_triangle(K)
+    assert glued.invariant_report().key() == oracle.invariant_report().key()
+    assert len(glued.faces) == 1
+    assert len(glued.faces[0][1]) == len(K.triangles) + 2
+
+
+def test_glued_polygon_matches_oracle_on_figures(figure_triangulations):
+    cases = dict(figure_triangulations, disc=DISC, mobius=MOBIUS_BAND)
+    for tris in cases.values():
+        for seed in range(4):
+            assert_glued_like_oracle(relabelled(tris, seed))
+
+
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
+def test_glued_polygon_matches_oracle_on_refinements(form):
+    tris = refined_triangles(form)
+    for seed in range(3):
+        assert_glued_like_oracle(relabelled(tris, seed))
+
+
+def test_glued_polygon_per_component_and_edge_multiplicity(figure_triangulations):
+    tet = figure_triangulations["sphere"]
+    two = build_simplicial(tet + [tuple(v.upper() for v in t) for t in tet])
+    with pytest.raises(DisconnectedError):
+        to_cell_complex(two)
+    fin = build_simplicial([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "x")])
+    with pytest.raises(EdgeMultiplicityError):
+        to_cell_complex(fin)
