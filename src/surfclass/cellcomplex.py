@@ -120,30 +120,53 @@ class CellComplex:
         return tuple([[member(e) for e in r] for r in rs] for rs in self._counts[2])
 
     @cached_property
+    def _vertex_order(self):
+        """(vertex kinds and runs in canonical vertex order, symbol ->
+        vertex index), found without canonicalizing any run.
+
+        The canonical order sorts vertices by the ``sym_key`` list of
+        their canonical members (:attr:`_vertex_data`).  It equals the
+        order by first member alone:
+
+        * Each oriented symbol is a member of exactly one run.  The ends
+          that carry it are one glued pair (inner edge) or one unglued
+          end (border edge), and a run lists one end of each glued pair
+          it passes.
+        * An inner vertex's canonical members are a least rotation, so
+          they start with its least member.  A border vertex's are its
+          run read from the lesser end, so they start with that end.
+        * So the first members of two vertices differ, and the first
+          position already decides every comparison of the full keys.
+        """
+        runs = self._vertex_runs
+        if runs is None:
+            return ((NULL, ()),), {}
+        borders, inners, _ = runs
+        keyed = [(min(sym_key(r[0]), sym_key(r[-1])), BORDER, r) for r in borders]
+        keyed += [(min(map(sym_key, r)), INNER, r) for r in inners]
+        keyed.sort()  # the first symbols are distinct: no run is compared
+        sym_to_vertex = {s: i for i, (_, _, r) in enumerate(keyed) for s in r}
+        return tuple((kind, r) for _, kind, r in keyed), sym_to_vertex
+
+    @cached_property
     def _vertex_data(self):
-        """Compute the canonical vertex partition.
+        """The canonical vertex partition.
 
         Returns (vertices, sym_to_vertex) where vertices is a sorted
         tuple of Vertex and sym_to_vertex maps every oriented symbol to
         its vertex index.  Border chains read the same both ways; inner
         cycles are also rotations: each takes its least representative.
+        The order and the index are :attr:`_vertex_order`'s.
         """
-        runs = self._vertex_runs
-        if runs is None:
-            return (Vertex(NULL, ()),), {}
-        borders, inners, _ = runs
-        vertices = [Vertex(BORDER, _least_of(tuple(r), tuple(r[::-1]))) for r in borders]
-        vertices += [
-            Vertex(INNER, _least_of(cyclic_canonical(r), cyclic_canonical(r[::-1])))
-            for r in inners
-        ]
-        vertices.sort(key=lambda v: _word_key(v.members))
-        out = tuple(vertices)
-        sym_to_vertex = {}
-        for i, v in enumerate(out):
-            for s in v.members:
-                sym_to_vertex[s] = i
-        return out, sym_to_vertex
+        order, sym_to_vertex = self._vertex_order
+        vertices = []
+        for kind, r in order:
+            if kind == INNER:
+                r = _least_of(cyclic_canonical(r), cyclic_canonical(r[::-1]))
+            else:
+                r = _least_of(tuple(r), tuple(r[::-1]))
+            vertices.append(Vertex(kind, r))
+        return tuple(vertices), sym_to_vertex
 
     def vertices(self) -> tuple:
         return self._vertex_data[0]

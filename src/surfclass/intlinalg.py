@@ -126,6 +126,21 @@ class IntMatrix:
             ),
         )
 
+    def mul_is_zero(self, other: "IntMatrix") -> bool:
+        """Whether ``self.mul(other)`` is zero: each product column's row
+        sums are tested as they come, and no column is built or sorted."""
+        if self.cols != other.rows:
+            raise DimensionMismatchError("inner dimensions differ")
+        a = self.columns
+        for col in other.columns:
+            acc = {}
+            for k, bv in col:
+                for r, av in a[k]:
+                    acc[r] = acc.get(r, 0) + bv * av
+            if any(acc.values()):
+                return False
+        return True
+
     def is_zero(self) -> bool:
         return not any(self.columns)
 

@@ -4,12 +4,21 @@ Complexes are pure: every vertex and edge is required to lie in some
 triangle (dangling pieces are user error for surface work).  Validators
 implement the combinatorial surface conditions: every edge in exactly
 two triangles (or one/two for bordered), a single cyclic or linear fan
-of triangles around each vertex, and connectivity.
+of triangles around each vertex, and connectivity.  Both read one
+link graph per vertex, keyed by neighbour: node u of v's graph is the
+edge (v, u), and each triangle (v, u, w) links u and w.
 
 ``refine_to_triangulation`` converts any cell complex into a
 triangulated one: split every edge, star every face from a central
 vertex, then subdivide each triangle into four; the result is handed
-over as a simplicial complex with one vertex per vertex class.
+over as a simplicial complex with one vertex per vertex class.  Vertex
+``v<i>`` is the i-th vertex class in canonical order, which sorts the
+classes by their first canonical member alone, so no class is
+canonicalized to number it.
+
+``homology`` builds the boundary columns already in row order and runs
+one Smith reduction, of d2; H0 and rank d1 come from the connected
+components.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from functools import cached_property
 from .cellcomplex import CellComplex, build as build_complex
 from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
 from .errors import DegenerateTriangleError, EdgeMultiplicityError, InternalInvariantViolation
-from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, smith_normal_form
-from .intlinalg import rank  # noqa: F401 - surfbench/spans.py wraps simplicial.rank
+from .intlinalg import FgAbelianGroup, IntMatrix, smith_normal_form
+from .intlinalg import cokernel, rank  # noqa: F401 - surfbench/spans.py wraps both here
 
 
 @dataclass(frozen=True)
@@ -54,24 +63,26 @@ class SimplicialComplex2:
 
     @cached_property
     def vertex_fans(self) -> dict:
-        """For each vertex: the graph on incident edges, linked by incident triangles."""
+        """For each vertex v, in vertex order: its link graph, as
+        neighbour u -> the neighbours w such that (v, u, w) is a
+        triangle.  Node u stands for edge (v, u); its degree is the
+        number of triangles on that edge."""
         fans: dict = {v: {} for v in self.vertices}
-        for e in self.edges:
-            fans[e[0]][e] = []
-            fans[e[1]][e] = []
-        for t in self.triangles:
-            for v in t:
-                # connect the two edges of t that meet at v
-                others = [u for u in t if u != v]
-                e1 = tuple(sorted((v, others[0])))
-                e2 = tuple(sorted((v, others[1])))
-                fans[v][e1].append(e2)
-                fans[v][e2].append(e1)
+        for a, b, c in self.triangles:
+            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+                links = fans[v]
+                links.setdefault(x, []).append(y)
+                links.setdefault(y, []).append(x)
         return fans
 
     @cached_property
+    def components(self) -> int:
+        """The number of connected components."""
+        return _count_components(_graph(self.vertices, self.edges))
+
+    @property
     def is_connected(self) -> bool:
-        return bool(self.triangles) and _count_components(_graph(self.vertices, self.edges)) == 1
+        return bool(self.triangles) and self.components == 1
 
 
 @dataclass(frozen=True)
@@ -129,31 +140,50 @@ def _graph(nodes, edges) -> dict:
     return adj
 
 
-def _fan_shape(links: dict):
-    """Classify one vertex fan: 'cycle', 'path', or 'bad'."""
-    degs = sorted(len(v) for v in links.values())
-    if _count_components(links) != 1:
+def _fan_shape(links: dict) -> str:
+    """Classify one vertex's link graph: 'cycle', 'path', or 'bad'.
+
+    A link graph has no multiple edges (two triangles on the same three
+    vertices are one), so once every degree is 1 or 2 and at most two
+    are 1, one walk from an end, or from any node, visits the whole
+    graph exactly when it is connected."""
+    ends = []
+    for u, ws in links.items():
+        if len(ws) == 1:
+            ends.append(u)
+        elif len(ws) != 2:
+            return "bad"
+    if len(ends) not in (0, 2):
         return "bad"
-    if all(d == 2 for d in degs):
-        return "cycle"
-    if degs.count(1) == 2 and all(d in (1, 2) for d in degs):
-        return "path"
-    return "bad"
+    first = ends[0] if ends else next(iter(links))
+    prev, u, seen = None, first, 1
+    while True:
+        ws = links[u]
+        prev, u = u, ws[1] if ws[0] == prev else ws[0]
+        if u == first:
+            break
+        seen += 1
+        if len(links[u]) == 1:
+            break
+    if seen != len(links):
+        return "bad"
+    return "path" if ends else "cycle"
 
 
 def validate_closed_surface(K: SimplicialComplex2) -> ValidationReport:
     """Conditions for a closed surface: edges in two triangles, cyclic
     fans with at least three triangles, connected."""
     violations = []
-    for e, ts in K.edge_triangles.items():
-        if len(ts) != 2:
-            violations.append(f"D1: edge {e} lies in {len(ts)} triangles, expected 2")
-    for v, links in K.vertex_fans.items():
+    fans = K.vertex_fans
+    for a, b in K.edges:
+        n = len(fans[a][b])
+        if n != 2:
+            violations.append(f"D1: edge {(a, b)} lies in {n} triangles, expected 2")
+    for v, links in fans.items():
         if not links:
             violations.append(f"D2: vertex {v} has no incident edges")
             continue
-        shape = _fan_shape(links)
-        if shape != "cycle" or len(links) < 3:
+        if len(links) < 3 or _fan_shape(links) != "cycle":
             violations.append(f"D2: vertex {v} fan is not a single cycle (m >= 3)")
     if not K.is_connected:
         violations.append("D3: complex is not connected")
@@ -168,21 +198,25 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
     contained in a single triangle); the interior of the fan alternates
     interior edges and triangles."""
     violations = []
+    fans = K.vertex_fans
     border_edges = set()
-    for e, ts in K.edge_triangles.items():
-        if len(ts) == 1:
-            border_edges.add(e)
-        elif len(ts) != 2:
-            violations.append(f"D1: edge {e} lies in {len(ts)} triangles")
+    for a, b in K.edges:
+        n = len(fans[a][b])
+        if n == 1:
+            border_edges.add((a, b))
+        elif n != 2:
+            violations.append(f"D1: edge {(a, b)} lies in {n} triangles")
     border_vertices = {v for e in border_edges for v in e}
-    for v, links in K.vertex_fans.items():
+    for v, links in fans.items():
         if not links:
             violations.append(f"D2: vertex {v} has no incident edges")
             continue
         shape = _fan_shape(links)
         if v in border_vertices:
             ok = shape == "path" and all(
-                e in border_edges for e in links if len(links[e]) == 1
+                ((v, u) if v < u else (u, v)) in border_edges
+                for u, ws in links.items()
+                if len(ws) == 1
             )
             if not ok:
                 violations.append(
@@ -206,21 +240,27 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     """Boundary operators with ascending-name reference orientations.
 
     For an edge (a, b) with a < b the boundary is b - a; for a triangle
-    (a, b, c) with a < b < c it is (b, c) - (a, c) + (a, b).
+    (a, b, c) with a < b < c it is (b, c) - (a, c) + (a, b).  Vertices
+    and edges are sorted, so a < b gives row(a) < row(b) and the edges
+    (a, b) < (a, c) < (b, c) have ascending rows: each column is built
+    in the order ``IntMatrix`` requires (and checks).
     """
     v_index = {v: i for i, v in enumerate(K.vertices)}
     e_index = {e: i for i, e in enumerate(K.edges)}
-    d1 = IntMatrix.from_columns(
-        len(K.vertices), [((v_index[a], -1), (v_index[b], 1)) for a, b in K.edges]
-    )
-    d2 = IntMatrix.from_columns(
+    d1 = IntMatrix(
+        len(K.vertices),
         len(K.edges),
-        [
-            ((e_index[(b, c)], 1), (e_index[(a, c)], -1), (e_index[(a, b)], 1))
-            for a, b, c in K.triangles
-        ],
+        tuple(((v_index[a], -1), (v_index[b], 1)) for a, b in K.edges),
     )
-    if not d1.mul(d2).is_zero():
+    d2 = IntMatrix(
+        len(K.edges),
+        len(K.triangles),
+        tuple(
+            ((e_index[(a, b)], 1), (e_index[(a, c)], -1), (e_index[(b, c)], 1))
+            for a, b, c in K.triangles
+        ),
+    )
+    if not d1.mul_is_zero(d2):
         raise InternalInvariantViolation("boundary of boundary is nonzero")
     return ChainComplexData(K.vertices, K.edges, K.triangles, d1, d2)
 
@@ -228,18 +268,20 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
 def homology(K: SimplicialComplex2):
     """(H0, H1, H2) as finitely generated abelian groups.
 
-    One Smith reduction per boundary matrix: H0 and rank d1 come from
-    the cokernel of d1, H1's torsion and rank d2 from the SNF of d2.
+    One Smith reduction, of d2.  H0 is free on the path components
+    (Hatcher, *Algebraic Topology*, 2002, Prop. 2.7): with c components,
+    H0 = Z^c and rank d1 = V - c.  The SNF of d2 gives rank d2 and the
+    torsion of H1.
     """
     data = boundary_matrices(K)
     nv, ne, nt = len(K.vertices), len(K.edges), len(K.triangles)
-    h0 = cokernel(nv, data.d1)
-    r1 = nv - h0.free_rank
+    c = K.components
+    r1 = nv - c
     snf2 = smith_normal_form(data.d2)
     r2 = len(snf2)
     h1 = FgAbelianGroup(ne - r1 - r2, tuple(t for t in snf2 if t > 1))
     h2 = FgAbelianGroup(nt - r2, ())
-    return h0, h1, h2
+    return FgAbelianGroup(c, ()), h1, h2
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +354,16 @@ def _cancel_inverse_pairs(faces: dict) -> dict:
 
 
 def _corner_triples(refined: CellComplex):
-    """Vertex triples of the refined faces, or None if not yet faithful."""
-    data, sym_to_vertex = refined._vertex_data
+    """Vertex triples of the refined faces, or None if a face meets one
+    vertex twice."""
+    order, sym_to_vertex = refined._vertex_order
+    names = [f"v{i}" for i in range(len(order))]
     triangles = []
-    for name, w in refined.faces:
-        corners = tuple(f"v{sym_to_vertex[s]}" for s in w)
+    for _, w in refined.faces:
+        corners = tuple([names[sym_to_vertex[s]] for s in w])
         if len(set(corners)) != 3:
             return None
         triangles.append(corners)
-    if len({tuple(sorted(t)) for t in triangles}) != len(triangles):
-        return None
     return triangles
 
 
@@ -347,7 +389,6 @@ def refine_to_triangulation(K: CellComplex):
     if any(len(w) < 3 for w in faces.values()):
         faces = _bulk_split_all_edges(faces, counter)
     faces = _bulk_star_faces(faces, counter)
-    simp = None
     for _ in range(3):
         faces = _bulk_quadrisect(faces, counter)
         refined = build_complex(faces, internal=True)
@@ -356,10 +397,12 @@ def refine_to_triangulation(K: CellComplex):
                 "refinement changed the Euler characteristic"
             )
         triangles = _corner_triples(refined)
+        # faithful: three vertices per face, no two faces on the same three
         if triangles is not None:
             simp = build_simplicial(triangles)
-            break
-    if simp is None:
+            if len(simp.triangles) == len(triangles):
+                break
+    else:
         raise InternalInvariantViolation("refinement failed to become faithful")
     check = (
         validate_bordered_surface(simp)

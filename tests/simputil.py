@@ -2,10 +2,10 @@
 
 import random
 
-from surfclass.cellcomplex import build
-from surfclass.edgeword import EdgeSym
+from surfclass.cellcomplex import BORDER, INNER, NULL, Vertex, build
+from surfclass.edgeword import EdgeSym, cyclic_canonical, sym_key
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical
-from surfclass.simplicial import refine_to_triangulation
+from surfclass.simplicial import ValidationReport, _count_components, _graph, refine_to_triangulation
 
 DISC = [("o", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]
 MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
@@ -51,3 +51,113 @@ def faces_per_triangle(K):
     for i, (a, b, c) in enumerate(K.triangles):
         faces[f"T{i}"] = (directed(a, b), directed(b, c), directed(c, a))
     return build(faces, internal=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles of the surface checks and of the vertex order
+
+
+def _edge_keyed_fans(K):
+    """For each vertex: the graph on incident edges (sorted pairs),
+    linked by incident triangles."""
+    fans = {v: {} for v in K.vertices}
+    for e in K.edges:
+        fans[e[0]][e] = []
+        fans[e[1]][e] = []
+    for t in K.triangles:
+        for v in t:
+            others = [u for u in t if u != v]
+            e1 = tuple(sorted((v, others[0])))
+            e2 = tuple(sorted((v, others[1])))
+            fans[v][e1].append(e2)
+            fans[v][e2].append(e1)
+    return fans
+
+
+def _edge_fan_shape(links):
+    """'cycle', 'path' or 'bad', from the degrees and one component count."""
+    degs = sorted(len(v) for v in links.values())
+    if _count_components(links) != 1:
+        return "bad"
+    if all(d == 2 for d in degs):
+        return "cycle"
+    if degs.count(1) == 2 and all(d in (1, 2) for d in degs):
+        return "path"
+    return "bad"
+
+
+def _edge_triangle_counts(K):
+    counts = dict.fromkeys(K.edges, 0)
+    for a, b, c in K.triangles:
+        for e in ((a, b), (a, c), (b, c)):
+            counts[e] += 1
+    return counts
+
+
+def _connected(K):
+    return bool(K.triangles) and _count_components(_graph(K.vertices, K.edges)) == 1
+
+
+def edge_keyed_validate_closed(K):
+    """``validate_closed_surface`` over fans keyed by sorted edge pairs."""
+    violations = []
+    for e, n in _edge_triangle_counts(K).items():
+        if n != 2:
+            violations.append(f"D1: edge {e} lies in {n} triangles, expected 2")
+    for v, links in _edge_keyed_fans(K).items():
+        if not links:
+            violations.append(f"D2: vertex {v} has no incident edges")
+            continue
+        if _edge_fan_shape(links) != "cycle" or len(links) < 3:
+            violations.append(f"D2: vertex {v} fan is not a single cycle (m >= 3)")
+    if not _connected(K):
+        violations.append("D3: complex is not connected")
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def edge_keyed_validate_bordered(K):
+    """``validate_bordered_surface`` over fans keyed by sorted edge pairs."""
+    violations = []
+    border_edges = set()
+    for e, n in _edge_triangle_counts(K).items():
+        if n == 1:
+            border_edges.add(e)
+        elif n != 2:
+            violations.append(f"D1: edge {e} lies in {n} triangles")
+    border_vertices = {v for e in border_edges for v in e}
+    for v, links in _edge_keyed_fans(K).items():
+        if not links:
+            violations.append(f"D2: vertex {v} has no incident edges")
+            continue
+        shape = _edge_fan_shape(links)
+        if v in border_vertices:
+            ends = [e for e in links if len(links[e]) == 1]
+            if shape != "path" or not all(e in border_edges for e in ends):
+                violations.append(
+                    f"D3: border vertex {v} fan is not a single border-to-border path"
+                )
+        elif shape != "cycle" or len(links) < 3:
+            violations.append(f"D2: interior vertex {v} fan is not a single cycle")
+    if not _connected(K):
+        violations.append("D4: complex is not connected")
+    circles = _count_components(_graph((), border_edges))
+    return ValidationReport(not violations, tuple(violations), circles)
+
+
+def vertices_by_full_keys(K):
+    """K's vertices with every run canonicalized first, then sorted by
+    the ``sym_key`` list of all their members."""
+    runs = K._vertex_runs
+    if runs is None:
+        return (Vertex(NULL, ()),)
+
+    def key(w):
+        return [sym_key(s) for s in w]
+
+    borders, inners, _ = runs
+    out = [Vertex(BORDER, min(tuple(r), tuple(r[::-1]), key=key)) for r in borders]
+    out += [
+        Vertex(INNER, min(cyclic_canonical(r), cyclic_canonical(r[::-1]), key=key))
+        for r in inners
+    ]
+    return tuple(sorted(out, key=lambda v: key(v.members)))

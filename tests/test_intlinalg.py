@@ -128,6 +128,7 @@ def test_sparse_storage_matches_dense_reference(r, k, c, data):
     assert AB.row_list() == product
     assert AB == sparse_from_dense(product, r, c)
     assert AB.is_zero() == all(x == 0 for row in product for x in row)
+    assert A.mul_is_zero(B) == AB.is_zero()
 
 
 def test_sparse_storage_rejects_malformed_columns():
@@ -143,6 +144,8 @@ def test_sparse_storage_rejects_malformed_columns():
         M([[1, 2], [3]])
     with pytest.raises(DimensionMismatchError):
         M([[1, 2]]).mul(M([[1, 2]]))
+    with pytest.raises(DimensionMismatchError):
+        M([[1, 2]]).mul_is_zero(M([[1, 2]]))
 
 
 @settings(max_examples=80, deadline=None)

@@ -11,7 +11,7 @@ from surfclass.errors import (
     EdgeMultiplicityError,
     InternalInvariantViolation,
 )
-from surfclass.intlinalg import FgAbelianGroup, IntMatrix
+from surfclass.intlinalg import FgAbelianGroup, cokernel
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, scramble
 from surfclass.simplicial import (
     boundary_matrices,
@@ -27,10 +27,13 @@ from simputil import (
     DISC,
     MOBIUS_BAND,
     SMALL_FORMS,
+    edge_keyed_validate_bordered,
+    edge_keyed_validate_closed,
     faces_per_triangle,
     form_id,
     refined_triangles,
     relabelled,
+    vertices_by_full_keys,
 )
 
 Z = FgAbelianGroup(1, ())
@@ -101,35 +104,50 @@ def test_boundary_matrix_columns():
     assert [data.d1[i, 0] for i in range(3)] == [-1, 1, 0]
 
 
-def test_boundary_squared_zero_random():
-    rng = random.Random(11)
+def random_complexes(seed, count):
+    """Small random complexes on the vertices a..h, disconnected and
+    non-surface ones included."""
+    rng = random.Random(seed)
     labels = "abcdefgh"
-    for _ in range(100):
+    for _ in range(count):
         tris = set()
         while len(tris) < rng.randint(1, 8):
             t = tuple(rng.sample(labels, 3))
             tris.add(t)
-        K = build_simplicial(tris)
+        yield build_simplicial(tris)
+
+
+def test_boundary_squared_zero_random():
+    for K in random_complexes(11, 100):
         data = boundary_matrices(K)  # raises if d1 . d2 != 0
         assert data.d1.mul(data.d2).is_zero()
 
 
+def test_h0_from_components_equals_the_cokernel_of_d1():
+    disconnected = 0
+    for K in random_complexes(11, 200):
+        h0 = homology(K)[0]
+        assert h0 == cokernel(len(K.vertices), boundary_matrices(K).d1)
+        disconnected += h0.free_rank > 1
+    assert disconnected >= 10  # 13 of the 200
+
+
 def test_boundary_matrices_reject_a_nonzero_boundary_of_boundary(monkeypatch, figure_triangulations):
     K = build_simplicial(figure_triangulations["sphere"])
-    real = IntMatrix.from_columns
+    real = simplicial.IntMatrix
 
-    def d2_with_one_sign_wrong(rows, columns):
+    def d2_with_one_sign_wrong(rows, cols, columns):
         if rows == len(K.edges):
             (r, v), *rest = columns[0]
-            columns = [((r, -v), *rest), *columns[1:]]
-        return real(rows, columns)
+            columns = (((r, -v), *rest), *columns[1:])
+        return real(rows, cols, columns)
 
-    monkeypatch.setattr(IntMatrix, "from_columns", d2_with_one_sign_wrong)
+    monkeypatch.setattr(simplicial, "IntMatrix", d2_with_one_sign_wrong)
     with pytest.raises(InternalInvariantViolation, match="boundary of boundary"):
         boundary_matrices(K)
 
 
-def test_homology_reduces_each_boundary_matrix_once(monkeypatch, figure_triangulations):
+def test_homology_runs_one_snf_of_d2(monkeypatch, figure_triangulations):
     seen = []
 
     def counting(name):
@@ -145,8 +163,7 @@ def test_homology_reduces_each_boundary_matrix_once(monkeypatch, figure_triangul
     K = build_simplicial(figure_triangulations["projective"])
     data = boundary_matrices(K)
     assert homology(K) == (Z, ZMOD2, TRIVIAL)
-    assert len(seen) == 2
-    assert {m for _, m in seen} == {data.d1, data.d2}
+    assert seen == [("smith_normal_form", data.d2)]
 
 
 @pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
@@ -265,3 +282,67 @@ def test_glued_polygon_per_component_and_edge_multiplicity(figure_triangulations
     fin = build_simplicial([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "x")])
     with pytest.raises(EdgeMultiplicityError):
         to_cell_complex(fin)
+
+
+# ---------------------------------------------------------------------------
+# the neighbour-keyed surface checks and the first-symbol vertex order,
+# against the edge-keyed checks and full-key sort they replaced
+
+TETRA = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d")]
+FINS_AND_PINCHES = {
+    "fin": TETRA + [("a", "b", "x")],
+    "fin_on_a_disc": DISC + [("o", "v0", "x")],
+    "bowtie": [("a", "b", "c"), ("a", "d", "e")],
+    "pinched_discs": DISC + [("o", f"w{i}", f"w{(i + 1) % 4}") for i in range(4)],
+    "pinched_spheres": TETRA + [("a", "e", "f"), ("a", "e", "g"), ("a", "f", "g"), ("e", "f", "g")],
+    "disc_and_sphere": DISC + [tuple(f"s{v}" for v in t) for t in TETRA],
+}
+
+
+def assert_validators_match_oracle(triangles):
+    K = build_simplicial(triangles)
+    assert validate_closed_surface(K) == edge_keyed_validate_closed(K)
+    assert validate_bordered_surface(K) == edge_keyed_validate_bordered(K)
+
+
+def test_validators_match_oracle_on_figures_and_non_surfaces(figure_triangulations):
+    cases = dict(figure_triangulations, disc=DISC, mobius=MOBIUS_BAND, **FINS_AND_PINCHES)
+    tet = figure_triangulations["sphere"]
+    cases["two_spheres"] = tet + [tuple(v.upper() for v in t) for t in tet]
+    for tris in cases.values():
+        for seed in range(4):
+            assert_validators_match_oracle(relabelled(tris, seed))
+
+
+def test_validators_match_oracle_on_random_complexes():
+    for K in random_complexes(5, 300):
+        assert validate_closed_surface(K) == edge_keyed_validate_closed(K)
+        assert validate_bordered_surface(K) == edge_keyed_validate_bordered(K)
+
+
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
+def test_validators_match_oracle_on_refinements(form):
+    tris = refined_triangles(form)
+    assert_validators_match_oracle(tris)
+    assert_validators_match_oracle(relabelled(tris, 0))
+    # one triangle less: a border appears, or a second one
+    assert_validators_match_oracle(tris[1:])
+
+
+VERTEX_ORDER_FORMS = [NormalForm(TYPE_I, p, q) for p in range(6) for q in range(4)]
+VERTEX_ORDER_FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 6) for q in range(4)]
+
+
+def assert_first_symbol_order(K):
+    vertices = K.vertices()
+    assert vertices == vertices_by_full_keys(K)
+    _, sym_to_vertex = K._vertex_order
+    assert sym_to_vertex == {s: i for i, v in enumerate(vertices) for s in v.members}
+
+
+@pytest.mark.parametrize("form", VERTEX_ORDER_FORMS, ids=form_id)
+def test_first_symbol_vertex_order_is_the_full_key_order(form):
+    for seed in range(3):
+        K = scramble(make_canonical(form), seed, 15)
+        assert_first_symbol_order(K)
+        assert_first_symbol_order(refine_to_triangulation(K)[0])
