@@ -59,12 +59,6 @@ class IntMatrix:
                 last = r
 
     @classmethod
-    def from_columns(cls, rows: int, columns) -> "IntMatrix":
-        """From per-column ``(row, value)`` pairs in any order; repeated
-        rows are summed and zeros dropped."""
-        return cls(rows, len(columns), tuple(_column(c) for c in columns))
-
-    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
         nrows = len(rows)

@@ -105,7 +105,8 @@ def dense_matrix(data, r, c, values=small):
 
 
 def sparse_from_dense(rows, r, c):
-    return IntMatrix.from_columns(r, [[(i, rows[i][j]) for i in range(r)] for j in range(c)])
+    columns = (tuple((i, rows[i][j]) for i in range(r) if rows[i][j]) for j in range(c))
+    return IntMatrix(r, c, tuple(columns))
 
 
 @settings(max_examples=150, deadline=None)
