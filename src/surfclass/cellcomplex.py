@@ -24,7 +24,6 @@ from typing import Mapping
 from .edgeword import (
     EdgeSym,
     Word,
-    cyclic_canonical,
     format_word,
     inverse_word,
     parse_word,
@@ -124,19 +123,23 @@ class CellComplex:
         """(vertex kinds and runs in canonical vertex order, symbol ->
         vertex index), found without canonicalizing any run.
 
-        The canonical order sorts vertices by the ``sym_key`` list of
-        their canonical members (:attr:`_vertex_data`).  It equals the
-        order by first member alone:
+        A vertex or contour is represented by its ``sym_key``-least
+        reading, a rotation of its run read either way (reversed for a
+        vertex, inverted for a contour; a border vertex is not rotated),
+        and sorted by it.  The least member decides both:
 
-        * Each oriented symbol is a member of exactly one run.  The ends
-          that carry it are one glued pair (inner edge) or one unglued
+        * Each oriented symbol is a member of exactly one vertex run,
+          once: its ends are one glued pair (inner edge) or one unglued
           end (border edge), and a run lists one end of each glued pair
-          it passes.
-        * An inner vertex's canonical members are a least rotation, so
-          they start with its least member.  A border vertex's are its
-          run read from the lesser end, so they start with that end.
-        * So the first members of two vertices differ, and the first
-          position already decides every comparison of the full keys.
+          it passes.  Each border edge lies on exactly one contour, once.
+          So a run's members are distinct, and a contour's symbols are
+          disjoint from those of its inverse.
+        * So the first member decides every comparison of readings: an
+          inner vertex reads from its least member toward the lesser of
+          its two neighbours, a border vertex from its lesser end, and a
+          contour from the least symbol of it and its inverse.
+        * Two vertices, or two contours, differ in their first members,
+          which therefore decide their order too.
         """
         runs = self._vertex_runs
         if runs is None:
@@ -150,22 +153,18 @@ class CellComplex:
 
     @cached_property
     def _vertex_data(self):
-        """The canonical vertex partition.
-
-        Returns (vertices, sym_to_vertex) where vertices is a sorted
-        tuple of Vertex and sym_to_vertex maps every oriented symbol to
-        its vertex index.  Border chains read the same both ways; inner
-        cycles are also rotations: each takes its least representative.
-        The order and the index are :attr:`_vertex_order`'s.
-        """
+        """(vertices, sym_to_vertex): :attr:`_vertex_order` with each
+        run read as its docstring proves least."""
         order, sym_to_vertex = self._vertex_order
         vertices = []
         for kind, r in order:
             if kind == INNER:
-                r = _least_of(cyclic_canonical(r), cyclic_canonical(r[::-1]))
-            else:
-                r = _least_of(tuple(r), tuple(r[::-1]))
-            vertices.append(Vertex(kind, r))
+                r = _from_least(r)
+                if len(r) > 2 and sym_key(r[-1]) < sym_key(r[1]):
+                    r = r[:1] + r[:0:-1]
+            elif kind == BORDER and sym_key(r[-1]) < sym_key(r[0]):
+                r = r[::-1]
+            vertices.append(Vertex(kind, tuple(r)))
         return tuple(vertices), sym_to_vertex
 
     def vertices(self) -> tuple:
@@ -179,14 +178,12 @@ class CellComplex:
         return self._counts[0].euler
 
     def contours(self) -> tuple:
-        """Boundary circles; (a1..an) and (an'..a1') are one contour."""
-        runs = self._vertex_runs
-        out = [
-            Contour(_least_of(cyclic_canonical(r), cyclic_canonical(inverse_word(r))))
-            for r in (runs[2] if runs else ())
-        ]
-        out.sort(key=lambda c: _word_key(c.edges))
-        return tuple(out)
+        """Boundary circles, (a1..an) and (an'..a1') being one, each read
+        as :attr:`_vertex_order` proves least."""
+        runs = self._vertex_runs[2] if self._vertex_runs else ()
+        least = lambda w: min(map(sym_key, w))
+        words = [_from_least(min(r, inverse_word(r), key=least)) for r in runs]
+        return tuple(Contour(w) for w in sorted(words, key=least))
 
     def is_orientable(self) -> bool:
         """Whether some choice of face orientations is coherent."""
@@ -201,12 +198,10 @@ class CellComplex:
         return "; ".join(f"{name}: {format_word(w)}" for name, w in self.faces)
 
 
-def _word_key(w):
-    return [sym_key(s) for s in w]
-
-
-def _least_of(u, v):
-    return min(u, v, key=_word_key)
+def _from_least(run) -> tuple:
+    """A run of distinct members rotated to start at its least one."""
+    i = min(range(len(run)), key=lambda k: sym_key(run[k]))
+    return tuple(run[i:]) + tuple(run[:i])
 
 
 def count_invariants(words) -> tuple:

@@ -215,41 +215,3 @@ def inverse_pair_at(w: Word):
         if w[(i + 1) % n] == w[i].inv():
             return i
     return None
-
-
-def cyclic_canonical(w: Word) -> Word:
-    """The lexicographically least rotation under :func:`sym_key`.
-
-    Booth's algorithm (K. S. Booth, "Lexicographically least circular
-    substrings", Inf. Proc. Letters 10, 1980): a failure function over
-    the doubled word finds the least rotation in O(len(w)) comparisons.
-    Idempotent, and equal for every rotation of the same cyclic word.
-
-    >>> a, b, c = sym("a"), sym("b"), sym("c")
-    >>> cyclic_canonical((b, a, c))
-    (a, c, b)
-    >>> cyclic_canonical((sym("a'"), a))
-    (a, a')
-    """
-    n = len(w)
-    if n < 2:
-        return tuple(w)
-    keys = [sym_key(s) for s in w]
-    keys += keys
-    fail = [-1] * (2 * n)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, 2 * n):
-        sj = keys[j]
-        i = fail[j - k - 1]
-        while i != -1 and sj != keys[k + i + 1]:
-            if sj < keys[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if sj != keys[k + i + 1]:  # here i == -1
-            if sj < keys[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    k %= n
-    return tuple(w[k:]) + tuple(w[:k])

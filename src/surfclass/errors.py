@@ -1,18 +1,28 @@
 """Exception hierarchy shared by all modules.
 
 Every error carries a stable machine-greppable ``code`` that the CLI
-prefixes to its one-line diagnostics.
+prefixes to its one-line diagnostics, and the CLI's ``exit_status``:
+2 for usage and parse errors, 1 for every other error.
 """
 
 
 class SurfclassError(Exception):
     code = "E_GENERIC"
+    exit_status = 1
+
+
+class UsageError(SurfclassError):
+    """A command-line argument out of its range or form."""
+
+    code = "E_USAGE"
+    exit_status = 2
 
 
 # --- word / file parsing ---------------------------------------------------
 
 class MalformedTokenError(SurfclassError):
     code = "E_MALFORMED_TOKEN"
+    exit_status = 2
 
     def __init__(self, message, position=None):
         super().__init__(message)
@@ -21,6 +31,7 @@ class MalformedTokenError(SurfclassError):
 
 class FileFormatError(SurfclassError):
     code = "E_FILE_FORMAT"
+    exit_status = 2
 
 
 # --- cell complexes --------------------------------------------------------

@@ -3,9 +3,11 @@
 import random
 
 from surfclass.cellcomplex import BORDER, INNER, NULL, Vertex, build
-from surfclass.edgeword import EdgeSym, cyclic_canonical, sym_key
+from surfclass.edgeword import EdgeSym
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical
 from surfclass.simplicial import ValidationReport, _count_components, _graph, refine_to_triangulation
+
+from wordutil import brute_least_rotation, word_key
 
 DISC = [("o", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]
 MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
@@ -145,19 +147,12 @@ def edge_keyed_validate_bordered(K):
 
 
 def vertices_by_full_keys(K):
-    """K's vertices with every run canonicalized first, then sorted by
-    the ``sym_key`` list of all their members."""
+    """K's vertices with every run canonicalized first, by trying every
+    reading, then sorted by the ``sym_key`` list of all their members."""
     runs = K._vertex_runs
     if runs is None:
         return (Vertex(NULL, ()),)
-
-    def key(w):
-        return [sym_key(s) for s in w]
-
     borders, inners, _ = runs
-    out = [Vertex(BORDER, min(tuple(r), tuple(r[::-1]), key=key)) for r in borders]
-    out += [
-        Vertex(INNER, min(cyclic_canonical(r), cyclic_canonical(r[::-1]), key=key))
-        for r in inners
-    ]
-    return tuple(sorted(out, key=lambda v: key(v.members)))
+    out = [Vertex(BORDER, min(tuple(r), tuple(r[::-1]), key=word_key)) for r in borders]
+    out += [Vertex(INNER, brute_least_rotation(r, r[::-1])) for r in inners]
+    return tuple(sorted(out, key=lambda v: word_key(v.members)))

@@ -1,15 +1,15 @@
 """Canonical vertex and contour order, and the counts-first invariant check.
 
-The quadratic references below try every rotation of every traversal
-direction; the library computes the same least representatives with
-Booth's linear least-rotation algorithm.
+The quadratic reference tries every rotation of every traversal
+direction; the library reads the same least representatives from the
+least member of each run, whose members are distinct.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfclass.cellcomplex import BORDER, INNER, build
-from surfclass.edgeword import EdgeSym, cyclic_canonical, inverse_word, sym_key
+from surfclass.edgeword import inverse_word
 from surfclass.errors import InternalInvariantViolation
 from surfclass.rewrite import (
     TYPE_I,
@@ -19,40 +19,9 @@ from surfclass.rewrite import (
     make_canonical,
     scramble,
 )
+from surfclass.simplicial import refine_to_triangulation, to_cell_complex
 
-
-def key(w):
-    return [sym_key(s) for s in w]
-
-
-def brute_least_rotation(*seqs):
-    """Least rotation over every given traversal, by trying them all."""
-    best = None
-    for seq in seqs:
-        seq = tuple(seq)
-        for k in range(max(len(seq), 1)):
-            cand = seq[k:] + seq[:k]
-            if best is None or key(cand) < key(best):
-                best = cand
-    return best
-
-
-names = st.sampled_from(["a", "b", "c", "x1"])
-syms = st.builds(EdgeSym, names, st.sampled_from([1, -1]))
-words = st.lists(syms, max_size=12).map(tuple)
-
-
-@given(words)
-def test_booth_matches_brute_force(w):
-    assert cyclic_canonical(w) == brute_least_rotation(w)
-
-
-@given(words)
-def test_booth_both_directions_matches_brute_force(w):
-    rev, alt = w[::-1], inverse_word(w)
-    least = lambda u, v: min(u, v, key=key)
-    assert least(cyclic_canonical(w), cyclic_canonical(rev)) == brute_least_rotation(w, rev)
-    assert least(cyclic_canonical(w), cyclic_canonical(alt)) == brute_least_rotation(w, alt)
+from wordutil import brute_least_rotation, word_key as key
 
 
 FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
@@ -71,6 +40,28 @@ def test_report_counts_match_canonical_views(form, seed, moves):
     assert r.key() == (form.orientable(), form.q, form.euler())
 
 
+def assert_least_representatives(K):
+    vs = K.vertices()
+    for v in vs:
+        m = v.members
+        assert len(set(m)) == len(m)
+        if v.kind == INNER:
+            assert m == brute_least_rotation(m, m[::-1])
+        elif v.kind == BORDER:
+            assert m == min(m, m[::-1], key=key)
+    assert [key(v.members) for v in vs] == sorted(key(v.members) for v in vs)
+    cs = K.contours()
+    for c in cs:
+        assert len({s.name for s in c.edges}) == len(c.edges)
+        assert c.edges == brute_least_rotation(c.edges, inverse_word(c.edges))
+    assert [key(c.edges) for c in cs] == sorted(key(c.edges) for c in cs)
+
+
+def refinement_and_polygon(K):
+    refined, simp = refine_to_triangulation(K)
+    return refined, to_cell_complex(simp)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     form=st.sampled_from(FORMS),
@@ -79,16 +70,14 @@ def test_report_counts_match_canonical_views(form, seed, moves):
 )
 def test_vertices_and_contours_are_least_representatives(form, seed, moves):
     K = scramble(make_canonical(form), seed, moves)
-    vs = K.vertices()
-    for v in vs:
-        m = v.members
-        if v.kind == INNER:
-            assert m == brute_least_rotation(m, m[::-1])
-        elif v.kind == BORDER:
-            assert m == min(m, m[::-1], key=key)
-    assert [key(v.members) for v in vs] == sorted(key(v.members) for v in vs)
-    for c in K.contours():
-        assert c.edges == brute_least_rotation(c.edges, inverse_word(c.edges))
+    for L in (K, *refinement_and_polygon(K)):
+        assert_least_representatives(L)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
+def test_refinements_and_polygons_are_least_representatives(form):
+    for L in refinement_and_polygon(scramble(make_canonical(form), 0, 15)):
+        assert_least_representatives(L)
 
 
 def test_report_is_computed_once_per_complex():

@@ -93,6 +93,20 @@ def test_normalize_selftest(files, capsys):
     assert "p: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("moves", [-1, cli.MAX_SCRAMBLE_MOVES + 1])
+def test_normalize_rejects_moves_out_of_range(files, capsys, moves):
+    write, _ = files
+    assert run(["normalize", write("t.cc", TORUS_CC), "--seed", "1", "--moves", str(moves)]) == 2
+    captured = capsys.readouterr()
+    one_coded_line(captured.err, "E_USAGE")
+    assert captured.out == ""
+
+
+def test_normalize_moves_cap_admits_the_documented_self_test():
+    # README and CI run ``--moves 200``
+    assert 200 <= cli.MAX_SCRAMBLE_MOVES
+
+
 def test_homology_cell_input_notice(files, capsys):
     write, _ = files
     code = run(["homology", write("t.cc", TORUS_CC), "--json"])

@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from surfclass.edgeword import (
     EdgeSym,
-    cyclic_canonical,
     format_word,
     inverse_pair_at,
     inverse_word,
@@ -53,12 +52,6 @@ def test_cyclic_equal_examples():
     assert cyclic_equal((), ())
 
 
-def test_cyclic_canonical_examples():
-    assert cyclic_canonical(W("b a c")) == W("a c b")
-    assert cyclic_canonical(W("a")) == W("a")
-    assert cyclic_canonical(W("a' a")) == W("a a'")
-
-
 def test_format_examples():
     assert format_word(W("a b'")) == "a b'"
     assert format_word(()) == ""
@@ -72,13 +65,6 @@ def test_inverse_involution(w):
 @given(words)
 def test_format_parse_round_trip(w):
     assert parse_word(format_word(w)) == w
-
-
-@given(words, st.integers(0, 7))
-def test_canonical_rotation_invariant(w, k):
-    assert cyclic_canonical(w) == cyclic_canonical(rotate(w, k))
-    assert cyclic_equal(w, cyclic_canonical(w))
-    assert cyclic_canonical(cyclic_canonical(w)) == cyclic_canonical(w)
 
 
 @given(words, st.integers(0, 7), st.integers(0, 7))

@@ -1,6 +1,6 @@
 """Cyclic-word helpers used only as test oracles."""
 
-from surfclass.edgeword import rotate
+from surfclass.edgeword import rotate, sym_key
 
 
 def rotations(w):
@@ -17,3 +17,13 @@ def cyclic_equal(w1, w2) -> bool:
     if len(w1) != len(w2):
         return False
     return any(r == w2 for r in rotations(w1))
+
+
+def word_key(w):
+    """Lexicographic sort key of a word under ``sym_key``."""
+    return [sym_key(s) for s in w]
+
+
+def brute_least_rotation(*seqs):
+    """Least rotation over every given traversal, by trying them all."""
+    return min((r for seq in seqs for r in rotations(tuple(seq))), key=word_key)
