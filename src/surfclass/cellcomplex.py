@@ -367,14 +367,16 @@ def build(faces: Mapping[str, Word | str], internal: bool = False) -> CellComple
     if not faces:
         raise EmptyFaceSetError("a cell complex needs at least one face")
     items = []
+    checked = set()  # edge names are checked at their first occurrence
     for name, w in faces.items():
         if not valid_name(name, internal=internal):
             raise BadNameError(f"bad face name {name!r}")
         if isinstance(w, str):
             w = parse_word(w)
         for s in w:
-            if not valid_name(s.name, internal=internal):
+            if s.name not in checked and not valid_name(s.name, internal=internal):
                 raise BadNameError(f"bad edge name {s.name!r}")
+            checked.add(s.name)
         items.append((name, tuple(w)))
     K = CellComplex(faces=tuple(items))
 

@@ -1,26 +1,23 @@
 """Top-level surface classification.
 
-Given a valid cell complex, normalizes it to canonical form (which
-``normalize`` checks against the invariant triple: orientability,
-contour count, Euler characteristic) and derives the surface name,
-genus, fundamental-group presentation and first homology group.
+``classify`` takes the invariant triple (orientability, contour count,
+Euler characteristic) from the counting pass, certifies it by the
+cellular homology of the complex with every contour capped, and derives
+the normal form, surface name, genus, fundamental-group presentation
+and first homology group.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .cellcomplex import CellComplex
-from .edgeword import Word, format_word
-from .errors import BorderedNotSupportedError
-from .intlinalg import FgAbelianGroup, IntMatrix, cokernel, group_format
-from .rewrite import (
-    TYPE_I,
-    NormalForm,
-    canonical_word,
-    normal_form_from_invariants,
-    normalize,
-)
+from .edgeword import EdgeSym, Word, format_word
+from .errors import BorderedNotSupportedError, InternalInvariantViolation
+from .intlinalg import FgAbelianGroup, IntMatrix, _column, group_format, smith_normal_form
+from .rewrite import TYPE_I, NormalForm, canonical_word, normal_form_from_invariants
+from .rewrite import normalize  # noqa: F401 - surfbench/spans.py wraps it here
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,11 @@ def surface_name(form: NormalForm) -> str:
 
 
 def classify(K: CellComplex) -> SurfaceClass:
-    return class_from_form(normalize(K).normal)
+    """The class of K's invariant triple, certified by ``certified_key``."""
+    key, got = K.invariant_report().key(), certified_key([w for _, w in K.faces])
+    if got != key:
+        raise InternalInvariantViolation(f"counted invariants {key}, capped homology {got}")
+    return class_from_form(normal_form_from_invariants(*key))
 
 
 def class_from_form(form: NormalForm) -> SurfaceClass:
@@ -111,20 +112,61 @@ def h1_from_normal_form(form: NormalForm) -> FgAbelianGroup:
     return FgAbelianGroup(p - 1, (2,))
 
 
-def abelianized(pres: Presentation) -> FgAbelianGroup:
-    """Abelianization of a presentation via the relator's exponent sums."""
-    n = len(pres.generators)
-    index = {g: i for i, g in enumerate(pres.generators)}
-    if not pres.relators:
-        return cokernel(n, IntMatrix.zeros(n, 0))
-    cols = []
-    for rel in pres.relators:
-        col = [0] * n
-        for s in rel:
-            col[index[s.name]] += s.sign
-        cols.append(col)
-    M = IntMatrix.from_rows([[col[i] for col in cols] for i in range(n)])
-    return cokernel(n, M)
+def _vertex_classes(words) -> tuple:
+    """(edge -> i, class of each edge end, V, components) by union-find over
+    tail ends 2i and head ends 2i + 1: a corner joins the end a letter
+    arrives at to the end the next leaves from.  No letters: the null vertex."""
+    index = {e: i for i, e in enumerate(dict.fromkeys(s.name for w in words for s in w))}
+    parent = list(range(2 * len(index)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for w in words:
+        for s, t in zip(w, w[1:] + w[:1]):
+            parent[find(2 * index[s.name] + (s.sign > 0))] = find(2 * index[t.name] + (t.sign < 0))
+    cls = list(map(find, range(len(parent))))
+    for i in range(len(index)):
+        parent[find(2 * i)] = find(2 * i + 1)
+    return index, cls, len(set(cls)) or 1, len(set(map(find, cls))) or 1
+
+
+def cellular_homology(words) -> tuple:
+    """(H0, H1, H2) of the 2-complex with one face per word (Hatcher, 2002,
+    §2.2): d2 of a face is its word's signed exponent sum, rank d1 is
+    V - components, and d2 gets one Smith reduction."""
+    index, _, nv, nc = _vertex_classes(words)
+    d2 = tuple(_column((index[s.name], s.sign) for s in w) for w in words)
+    snf = smith_normal_form(IntMatrix(len(index), len(words), d2))
+    h1 = FgAbelianGroup(len(index) - nv + nc - len(snf), tuple(t for t in snf if t > 1))
+    return FgAbelianGroup(nc, ()), h1, FgAbelianGroup(len(words) - len(snf), ())
+
+
+def certified_key(words) -> tuple:
+    """(orientable, q, chi) of a valid complex's words, found apart from
+    ``count_invariants``.  Each of the q components of the border-edge graph
+    gets a cap word; capped, the complex is a closed surface whose H1 is
+    Z^(2 - chi - q) if orientable, Z^(1 - chi - q) (+) Z/2 if not (else None)."""
+    index, cls, nv, _ = _vertex_classes(words)
+    uses = Counter(s.name for w in words for s in w)
+    border = [i for e, i in index.items() if uses[e] == 1]
+    at = {}  # vertex class -> its two border edge ends
+    for x in (x for i in border for x in (2 * i, 2 * i + 1)):
+        at.setdefault(cls[x], []).append(x)
+    names, caps, done = list(index), [], set()
+    for x in (2 * i for i in border if i not in done):
+        cap = []
+        while x >> 1 not in done:  # leave by end x, arrive at x ^ 1
+            done.add(x >> 1)
+            cap.append(EdgeSym(names[x >> 1], -1 if x & 1 else 1))
+            x = sum(at[cls[x ^ 1]]) - (x ^ 1)  # the class's other border end
+        caps.append(tuple(cap))
+    q, chi = len(caps), nv - len(index) + len(words)
+    h1 = cellular_homology(list(words) + caps)[1]
+    shape = (h1.free_rank + chi + q, h1.torsion)
+    return {(2, ()): True, (1, (2,)): False}.get(shape), q, chi
 
 
 def connected_sum(s1: SurfaceClass, s2: SurfaceClass) -> SurfaceClass:

@@ -91,13 +91,6 @@ class IntMatrix:
             raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
         return next((v for rr, v in self.columns[c] if rr == r), 0)
 
-    def row_list(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for c, col in enumerate(self.columns):
-            for r, v in col:
-                out[r][c] = v
-        return out
-
     def transpose(self) -> "IntMatrix":
         out = [[] for _ in range(self.rows)]
         for c, col in enumerate(self.columns):

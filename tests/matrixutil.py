@@ -12,10 +12,16 @@ from math import gcd
 from surfclass.intlinalg import IntMatrix
 
 
+def dense_rows(M: IntMatrix) -> list:
+    """The rows of M as lists, cut from its row-major ``entries``."""
+    e = M.entries
+    return [list(e[r * M.cols:(r + 1) * M.cols]) for r in range(M.rows)]
+
+
 def minor_gcd_invariants(M: IntMatrix) -> tuple:
     """Invariant factors via gcd of k x k minors; brute force, small inputs only."""
     n = min(M.rows, M.cols)
-    rows = M.row_list()
+    rows = dense_rows(M)
 
     def det(sub) -> int:
         if len(sub) == 1:
@@ -46,7 +52,7 @@ def minor_gcd_invariants(M: IntMatrix) -> tuple:
 
 def rational_rank(M: IntMatrix) -> int:
     """Rank over Q by Gaussian elimination with exact fractions."""
-    a = [[Fraction(x) for x in row] for row in M.row_list()]
+    a = [[Fraction(x) for x in row] for row in dense_rows(M)]
     nr, nc = M.rows, M.cols
     r = 0
     for c in range(nc):

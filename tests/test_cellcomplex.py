@@ -3,8 +3,9 @@ import random
 import pytest
 
 from surfclass.cellcomplex import BORDER, INNER, NULL, build
-from surfclass.edgeword import parse_word, sym
+from surfclass.edgeword import EdgeSym, parse_word, sym
 from surfclass.errors import (
+    BadNameError,
     DisconnectedError,
     EdgeMultiplicityError,
     EmptyFaceSetError,
@@ -73,6 +74,22 @@ def test_disconnected_error_names_each_component():
         build({"B": "x y", "A": "q", "C": "y' x'", "D": ""})
     assert str(e.value) == "complex is not connected: {B, C, x, y} / {A, q} / {D}"
     assert e.value.components == (("B", "C", "x", "y"), ("A", "q"), ("D",))
+
+
+def test_build_reports_the_first_bad_name_in_walk_order():
+    # each edge name is checked once, at its first occurrence; the first
+    # bad face or edge name met in face order, then word order, is reported
+    a, x, y = EdgeSym("a", 1), EdgeSym("9x", 1), EdgeSym("8y", 1)
+    cases = [
+        ({"A": (a, x), "B!": (x.inv(), a.inv())}, "bad edge name '9x'"),
+        ({"A": (a, y, x, x.inv(), y.inv(), a.inv())}, "bad edge name '8y'"),
+        ({"A": (a,), "B!": (a.inv(), x), "C": (x.inv(),)}, "bad face name 'B!'"),
+        ({"A": (a, a.inv()), "B": (x, y), "C!": (y.inv(), x.inv())}, "bad edge name '9x'"),
+    ]
+    for faces, message in cases:
+        with pytest.raises(BadNameError) as e:
+            build(faces)
+        assert str(e.value) == message
 
 
 def successors(K, s):

@@ -1,8 +1,14 @@
+import dataclasses
+import importlib
+from pathlib import Path
+
 import pytest
 
-from surfclass.cellcomplex import build
+from surfclass import rewrite
+from surfclass.cellcomplex import CellComplex, build
+from surfclass.cli import run
 from surfclass.classify import (
-    abelianized,
+    cellular_homology,
     class_from_form,
     classify,
     connected_sum,
@@ -12,10 +18,20 @@ from surfclass.classify import (
     surface_name,
     to_json_dict,
 )
-from surfclass.edgeword import format_word
+from surfclass.edgeword import format_word, parse_word
 from surfclass.errors import BorderedNotSupportedError, InfeasibleInvariantsError
-from surfclass.intlinalg import FgAbelianGroup
-from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm
+from surfclass.intlinalg import FgAbelianGroup, IntMatrix, cokernel
+from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, normalize, scramble
+from surfclass.simplicial import homology, refine_to_triangulation, to_cell_complex
+
+classify_module = importlib.import_module("surfclass.classify")  # the package exports the function
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SMALL_FORMS = [
+    NormalForm(kind, p, q)
+    for kind, p0 in ((TYPE_I, 0), (TYPE_II, 1))
+    for p in range(p0, 6)
+    for q in range(4)
+]
 
 
 def test_classify_table():
@@ -98,6 +114,22 @@ def test_h1_examples():
     assert h1_from_normal_form(NormalForm(TYPE_II, 1, 0)) == FgAbelianGroup(0, (2,))
 
 
+def abelianized(pres):
+    """Abelianization of a presentation via the relator's exponent sums."""
+    n = len(pres.generators)
+    index = {g: i for i, g in enumerate(pres.generators)}
+    if not pres.relators:
+        return cokernel(n, IntMatrix.zeros(n, 0))
+    cols = []
+    for rel in pres.relators:
+        col = [0] * n
+        for s in rel:
+            col[index[s.name]] += s.sign
+        cols.append(col)
+    M = IntMatrix.from_rows([[col[i] for col in cols] for i in range(n)])
+    return cokernel(n, M)
+
+
 def test_abelianization_matches_h1():
     forms = [
         NormalForm(TYPE_I, 0, 0),
@@ -154,3 +186,78 @@ def test_json_fields():
     bordered = to_json_dict(classify(build({"A": "a b a c"})))
     assert bordered["pi1_relator"] is None
     assert bordered["pi1_generators"] == ["a1"]
+
+
+def scrambled(form):
+    return scramble(make_canonical(form), 1000 * form.p + 10 * form.q + len(form.kind), 40)
+
+
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=str)
+def test_classify_agrees_with_normalize(form):
+    K = scrambled(form)
+    assert classify(K).form == normalize(K).normal == form
+    G = to_cell_complex(refine_to_triangulation(K)[1])
+    assert classify(G).form == normalize(G).normal == form
+
+
+@pytest.mark.parametrize("word", ["", "a a'", "a"])
+def test_classify_agrees_with_normalize_on_tiny_words(word):
+    K = build({"A": word})
+    assert classify(K).form == normalize(K).normal
+
+
+@pytest.mark.parametrize("form", [f for f in SMALL_FORMS if f.p <= 4], ids=str)
+def test_cellular_homology_matches_refinement_homology(form):
+    K = scrambled(form)
+    words = [w for _, w in K.faces]
+    assert cellular_homology(words) == homology(refine_to_triangulation(K)[1])
+
+
+def test_cellular_homology_counts_components():
+    # a projective plane beside a sphere: H0 is free on the two components
+    words = [parse_word("a a"), parse_word("b b'")]
+    assert cellular_homology(words) == (
+        FgAbelianGroup(2, ()),
+        FgAbelianGroup(0, (2,)),
+        FgAbelianGroup(1, ()),
+    )
+
+
+MUTATIONS = {
+    "flip orientability": lambda r: dataclasses.replace(r, orientable=not r.orientable),
+    "one more contour": lambda r: dataclasses.replace(r, num_contours=r.num_contours + 1),
+    "euler shifted by 2": lambda r: dataclasses.replace(r, euler=r.euler + 2),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("sample", ["torus.cc", "klein.cc", "mobius.cc", "bordered.cc"])
+def test_a_wrong_invariant_count_is_caught(mutation, sample, monkeypatch, capsys):
+    counted = CellComplex.invariant_report
+    mutate = MUTATIONS[mutation]
+    monkeypatch.setattr(CellComplex, "invariant_report", lambda K: mutate(counted(K)))
+    assert run(["classify", str(SAMPLES / sample)]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    lines = cap.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("E_INTERNAL: "), cap.err
+
+
+def test_a_homology_that_fits_no_surface_is_caught(monkeypatch, capsys):
+    wrong = (FgAbelianGroup(1, ()), FgAbelianGroup(5, ()), FgAbelianGroup(1, ()))
+    monkeypatch.setattr(classify_module, "cellular_homology", lambda words: wrong)
+    assert run(["classify", str(SAMPLES / "torus.cc")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["E_INTERNAL: counted invariants (True, 0, 0), capped homology (None, 0, 0)"]
+
+
+@pytest.mark.parametrize("form", [NormalForm(TYPE_I, 64, 1), NormalForm(TYPE_I, 128, 0)], ids=str)
+def test_classify_runs_no_normalize(form, monkeypatch):
+    _, T = refine_to_triangulation(make_canonical(form))
+
+    def refuse(K):
+        raise AssertionError("classify ran normalize")
+
+    monkeypatch.setattr(rewrite, "normalize", refuse)
+    monkeypatch.setattr(classify_module, "normalize", refuse)
+    assert classify(to_cell_complex(T)).form == form

@@ -14,7 +14,7 @@ from surfclass.intlinalg import (
     smith_normal_form,
 )
 
-from matrixutil import minor_gcd_invariants, rational_rank
+from matrixutil import dense_rows, minor_gcd_invariants, rational_rank
 
 
 def M(rows):
@@ -119,14 +119,14 @@ def test_sparse_storage_matches_dense_reference(r, k, c, data):
         assert M(a) == A
     assert (A.rows, A.cols) == (r, k)
     assert A.entries == tuple(x for row in a for x in row)
-    assert A.row_list() == a
+    assert dense_rows(A) == a
     assert all(A[i, j] == a[i][j] for i in range(r) for j in range(k))
     at = [[a[i][j] for i in range(r)] for j in range(k)]
     assert A.transpose() == sparse_from_dense(at, k, r)
     product = [[sum(a[i][m] * b[m][j] for m in range(k)) for j in range(c)] for i in range(r)]
     AB = A.mul(B)
     assert (AB.rows, AB.cols) == (r, c)
-    assert AB.row_list() == product
+    assert dense_rows(AB) == product
     assert AB == sparse_from_dense(product, r, c)
     assert AB.is_zero() == all(x == 0 for row in product for x in row)
     assert A.mul_is_zero(B) == AB.is_zero()
