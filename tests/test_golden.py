@@ -15,16 +15,23 @@ The ``homology`` and ``validate`` files pin the refine -> homology path
 and the triangulation checks: the groups, counts and the violations
 list with its order.  A run that fails prints its stdout and then its
 one ``E_<CODE>:`` line; the file holds both, in that order.
+
+SVG renders are pinned by their sha256: every preset at two ``--iters``,
+a custom IFS on a one-point seed (circles) and on a polyline seed, and
+a polygon scene rendered through the library.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from surfclass.cli import run
 from surfclass.fileio import format_simplicial
+from surfclass.planegeom import SQRT3, Polygon, Scene, ifs_iterate, preset
 from surfclass.rewrite import NormalForm, make_canonical, normalize, scramble
 from surfclass.simplicial import refine_to_triangulation
+from surfclass.svg import render_svg
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -107,3 +114,53 @@ def test_validate_json_of_non_surface_matches_golden(name, triangles, tmp_path, 
     tri = tmp_path / f"{name}.tri"
     tri.write_text("".join(f"triangle {a} {b} {c}\n" for a, b, c in triangles), encoding="utf-8")
     assert run_out(["validate", str(tri), "--json"], capsys) == expected(f"{name}.validate_json")
+
+
+PRESET_RENDERS = {
+    ("sierpinski-gasket", 3): "7d0a40c4eca85c761ac8bdf40c0b56611c2cbfe30545b06a4f44941de4f2366a",
+    ("sierpinski-gasket", 6): "74f50eeb738237de7946dbefe828380a660ec3a735c1f4c18e105208b1011931",
+    ("sierpinski-dragon", 2): "2c288957569a5828b682a4c04f0ae5ecb28b5b2bc4d6dfe503d4b8fea22c2910",
+    ("sierpinski-dragon", 5): "f6489f0de5b28c23645c04fa1f8ec5eacf23a40db084fb68b70b85bab957a180",
+    ("heighway", 5): "3efd3c827c06476eb64bd25d83759218c564d41160143e968dac7e59a12133bb",
+    ("heighway", 10): "0f7b7f35e538e9c98700421f405a76d9f2624faa4ba97f3fbf4d1bbe2091a6c7",
+    ("koch", 1): "272da04983958ef6e0a0345111726f3d5741aaca0e9ba53c254b7fa13240f8bd",
+    ("koch", 4): "6505c9d1a2e035ecedf539a05b629e18d7a2fa61fdf93fcd0426f4fb29863653",
+    ("hilbert", 2): "d617d71ae516529d5441273883d8434b3165df82a4973b9f1ddd7e45fc2788fa",
+    ("hilbert", 4): "9a263511a5ca0e44737764e42c7df063020b9100ac5875946426e062daf80cf8",
+    ("snowflake", 0): "85f1df03b5c8a9aada5efeec6cb0fb6648fe54895bb5f44673cd967c7087cb83",
+    ("snowflake", 3): "63f8b2c38f309614ec680645b20be4e16a44f8a2ea7b7a5c955eac664bf6affc",
+}
+# two halvings and a quarter turn, so the maps do not commute
+CUSTOM_IFS = "0.5 0 0 0.5 0 0\n0.5 0 0 0.5 0.5 0\n0 -0.5 0.5 0 0.75 0.25\n"
+CUSTOM_RENDERS = {
+    "0.1,0.2\n": "7e269eb4faf8706f664146039935a1c17ea8e7859dbdcb9bb188620b5ba83fb3",
+    "0,0\n1,0\n1,1\n0.25,0.75\n": "57ad8ee77edfd8c8fc6d2ebc2d95b902e25193af5435b0d0859d594e83621273",
+}
+
+
+def sha256_of_render(argv, tmp_path):
+    out = tmp_path / "render.svg"
+    assert run(argv + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, iters", sorted(PRESET_RENDERS))
+def test_preset_render_matches_golden(name, iters, tmp_path, capsys):
+    argv = ["fractal-render", "--preset", name, "--iters", str(iters)]
+    assert sha256_of_render(argv, tmp_path) == PRESET_RENDERS[name, iters]
+
+
+@pytest.mark.parametrize("seed", sorted(CUSTOM_RENDERS))
+def test_custom_ifs_render_matches_golden(seed, tmp_path, capsys):
+    ifs, pts = tmp_path / "maps.ifs", tmp_path / "seed.pts"
+    ifs.write_text(CUSTOM_IFS, encoding="utf-8")
+    pts.write_text(seed, encoding="utf-8")
+    argv = ["fractal-render", "--ifs", str(ifs), "--seed-file", str(pts), "--iters", "4"]
+    assert sha256_of_render(argv, tmp_path) == CUSTOM_RENDERS[seed]
+
+
+def test_polygon_scene_render_matches_golden():
+    tri = Scene((Polygon(((-0.5, 0.0), (0.5, 0.0), (0.0, SQRT3 / 2.0))),))
+    text = render_svg(ifs_iterate(preset("sierpinski-gasket"), tri, 4))
+    digest = "b598a9ec2749d9d4bf5d15b25081f06fb7ce646cb2e5f3b350a2e6c0b4c114a5"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
