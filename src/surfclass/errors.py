@@ -143,7 +143,8 @@ class DegenerateGeometryError(SurfclassError, ValueError):
 
 
 class RenderLimitError(SurfclassError):
-    """A render would build more primitives than the CLI serves."""
+    """A render would build more primitives than the CLI serves, or its
+    iterated coordinates are not all finite."""
 
     code = "E_RENDER_LIMIT"
 

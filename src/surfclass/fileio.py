@@ -5,7 +5,7 @@ Cell complex (UTF-8): optional ``surface <name>`` header; one
 
 Simplicial complex: one ``triangle v1 v2 v3`` per triangle.
 
-IFS: one map per line, six whitespace-separated decimals ``a b c d e f``.
+IFS: one map per line, six whitespace-separated finite decimals ``a b c d e f``.
 
 Point sets / curves: one ``x,y`` pair per line.
 """
@@ -81,9 +81,12 @@ def parse_ifs(text: str) -> IFS:
         if len(parts) != 6:
             raise FileFormatError(f"line {lineno}: expected 6 coefficients")
         try:
-            maps.append(AffineMap2(*(float(x) for x in parts)))
+            coeffs = [float(x) for x in parts]
         except ValueError:
             raise FileFormatError(f"line {lineno}: bad coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise FileFormatError(f"line {lineno}: non-finite coefficient")
+        maps.append(AffineMap2(*coeffs))
     if not maps:
         raise FileFormatError("no maps in IFS file")
     return IFS(tuple(maps))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .errors import (
     DegenerateGeometryError,
@@ -16,6 +17,7 @@ from .errors import (
     NotContractingError,
     PointOnCurveError,
     RefinementLimitError,
+    RenderLimitError,
     UnknownPresetError,
 )
 
@@ -119,18 +121,34 @@ class Scene:
         return min(xs), min(ys), max(xs), max(ys)
 
 
+def _iterate(rounds, seed) -> Scene:
+    """The seed's vertices, as flat x and y lists, under each round of
+    maps in map-major order; primitives are cut from the last round."""
+    xs = [x for prim in seed for x, _ in prim.vertices()]
+    ys = [y for prim in seed for _, y in prim.vertices()]
+    for maps in rounds:
+        nx, ny = [], []
+        for m in maps:
+            nx += [m.a * x + m.b * y + m.e for x, y in zip(xs, ys)]
+            ny += [m.c * x + m.d * y + m.f for x, y in zip(xs, ys)]
+        xs, ys = nx, ny
+    ends = [0, *accumulate(len(prim.vertices()) for prim in seed)]
+    cuts = list(zip(seed, ends, ends[1:]))
+    # zip(*[it] * k) reads the last round's vertices k at a time: one seed copy
+    copies = zip(*[zip(xs, ys)] * ends[-1])
+    prims = tuple([prim.replace(copy[lo:hi]) for copy in copies for prim, lo, hi in cuts])
+    if not all(map(math.isfinite, chain(xs, ys))):
+        raise RenderLimitError("an iterated coordinate overflows: it is not a finite float")
+    return Scene(prims)
+
+
 def ifs_iterate(sys: IFS, scene: Scene, n: int) -> Scene:
     """n-fold application of S -> union of map(S); vertex-wise and exact
     for points, segments and polygons under affine maps.  Primitives
-    come out in map-major order."""
-    prims = scene.primitives
-    for _ in range(n):
-        out = []
-        for m in sys.maps:
-            for prim in prims:
-                out.append(prim.replace(tuple(m.apply(v) for v in prim.vertices())))
-        prims = tuple(out)
-    return Scene(prims)
+    come out in map-major order, built once from the last level's
+    vertices, so segments are checked for degeneracy there; a coordinate
+    that is not finite raises RenderLimitError."""
+    return _iterate(repeat(sys.maps, n), scene.primitives)
 
 
 def _scan(strip, px, py, gap, best, bound):
@@ -292,19 +310,16 @@ def preset_seed(name: str) -> Scene:
 def snowflake(iters: int) -> Scene:
     """Three similarity-placed copies of the iterated Koch curve on the
     sides of an equilateral triangle, bumps facing outward."""
-    base = ifs_iterate(preset("koch"), preset_seed("koch"), iters)
     corners = [(1.0, 0.0), (-1.0, 0.0), (0.0, SQRT3)]
-    prims = []
-    for i in range(3):
-        px, py = corners[i]
-        qx, qy = corners[(i + 1) % 3]
+    sides = []
+    for (px, py), (qx, qy) in zip(corners, corners[1:] + corners[:1]):
         # similarity sending (-1,0)->P and (1,0)->Q (rotation+scale+shift)
         ca, cb = (qx - px) / 2.0, (qy - py) / 2.0
         ex, ey = (px + qx) / 2.0, (py + qy) / 2.0
-        m = AffineMap2(ca, -cb, cb, ca, ex, ey)
-        for prim in base.primitives:
-            prims.append(prim.replace(tuple(m.apply(v) for v in prim.vertices())))
-    return Scene(tuple(prims))
+        sides.append(AffineMap2(ca, -cb, cb, ca, ex, ey))
+    # the side maps are not contractions, so they are a map list, not an IFS
+    rounds = chain(repeat(preset("koch").maps, iters), [sides])
+    return _iterate(rounds, preset_seed("koch").primitives)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@ from __future__ import annotations
 from .planegeom import Point, Polygon, Scene, Segment
 
 
-def _fmt(x: float) -> str:
-    # fixed decimal notation keeps output stable and diff-friendly
-    s = f"{x:.6f}".rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+class _Formatted(dict):
+    """float -> fixed decimal text (stable, diff-friendly), made once per
+    distinct value: fractal coordinates repeat.  0.0 and -0.0 give "0"."""
+
+    def __missing__(self, x):
+        s = f"{x:.6f}".rstrip("0").rstrip(".")
+        s = self[x] = "0" if s == "-0" else s
+        return s
 
 
 def render_svg(scene: Scene) -> str:
@@ -26,17 +30,18 @@ def render_svg(scene: Scene) -> str:
     vb = (minx - pad, -(maxy + pad), w + 2 * pad, h + 2 * pad)
     stroke = max(w, h) / 500.0
     radius = max(w, h) / 200.0
+    fmt = _Formatted()
 
     def pt(p):
         x, y = p
-        return f"{_fmt(x)} {_fmt(-y)}"
+        return f"{fmt[x]} {fmt[-y]}"
 
     body = []
     for prim in scene.primitives:
         if isinstance(prim, Point):
             body.append(
-                f'<circle fill="black" cx="{_fmt(prim.x)}" cy="{_fmt(-prim.y)}" '
-                f'r="{_fmt(radius)}"/>'
+                f'<circle fill="black" cx="{fmt[prim.x]}" cy="{fmt[-prim.y]}" '
+                f'r="{fmt[radius]}"/>'
             )
         elif isinstance(prim, Segment):
             body.append(f'<path d="M {pt(prim.p1)} L {pt(prim.p2)}"/>')
@@ -47,8 +52,8 @@ def render_svg(scene: Scene) -> str:
             raise TypeError(f"unknown primitive {prim!r}")
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">\n'
-        f'<g fill="none" stroke="black" stroke-width="{_fmt(stroke)}" '
+        f'viewBox="{fmt[vb[0]]} {fmt[vb[1]]} {fmt[vb[2]]} {fmt[vb[3]]}">\n'
+        f'<g fill="none" stroke="black" stroke-width="{fmt[stroke]}" '
         'stroke-linecap="round">\n'
     )
     return header + "\n".join(body) + "\n</g>\n</svg>\n"

@@ -260,6 +260,41 @@ def test_hausdorff_rejects_non_finite(files, capsys, bad):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("bad", ["0.5 0 0 0.5 nan 0", "inf 0 0 0.5 0 0", "0.5 0 0 0.5 0 -inf"])
+def test_parse_ifs_rejects_non_finite_coefficients(files, capsys, bad):
+    write, tmp = files
+    ifs = write("bad.ifs", f"0.5 0 0 0.5 0 0\n{bad}\n")
+    seed = write("seg.pts", "0,0\n1,0\n")
+    argv = ["fractal-render", "--ifs", ifs, "--seed-file", seed, "--iters", "1"]
+    assert run(argv + ["--out", str(tmp / "o.svg")]) == 2
+    err = capsys.readouterr().err
+    one_coded_line(err, "E_FILE_FORMAT")
+    assert "line 2" in err
+    assert not (tmp / "o.svg").exists()
+
+
+def test_fractal_render_rejects_an_overflowing_render(files, capsys):
+    # finite coefficients, but the shift doubles past the largest float
+    write, tmp = files
+    ifs = write("far.ifs", "0.5 0 0 0.5 1e308 0\n")
+    seed = write("seg.pts", "0,0\n0,1\n")
+    argv = ["fractal-render", "--ifs", ifs, "--seed-file", seed, "--iters", "6"]
+    assert run(argv + ["--out", str(tmp / "o.svg")]) == 1
+    one_coded_line(capsys.readouterr().err, "E_RENDER_LIMIT")
+    assert not (tmp / "o.svg").exists()
+
+
+@pytest.mark.parametrize("iters", ["1", "4"])
+def test_fractal_render_singular_map_collapses_a_segment(files, capsys, iters):
+    write, tmp = files
+    ifs = write("flat.ifs", "0.5 0 0 0 0 0\n")
+    seed = write("seg.pts", "0,0\n0,1\n")
+    argv = ["fractal-render", "--ifs", ifs, "--seed-file", seed, "--iters", iters]
+    assert run(argv + ["--out", str(tmp / "o.svg")]) == 1
+    one_coded_line(capsys.readouterr().err, "E_DEGENERATE_GEOMETRY")
+    assert not (tmp / "o.svg").exists()
+
+
 def test_fractal_render_rejects_negative_iters(files, capsys):
     _, tmp = files
     out_path = str(tmp / "g.svg")

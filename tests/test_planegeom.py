@@ -10,6 +10,8 @@ from surfclass.errors import (
     EmptySetError,
     NotContractingError,
     PointOnCurveError,
+    RenderLimitError,
+    SurfclassError,
     UnknownPresetError,
 )
 from surfclass.planegeom import (
@@ -18,7 +20,9 @@ from surfclass.planegeom import (
     ClosedCurve,
     IFS,
     Point,
+    Polygon,
     Scene,
+    Segment,
     certify_convergence,
     contraction_ratio,
     hausdorff_distance,
@@ -29,7 +33,7 @@ from surfclass.planegeom import (
     winding_number,
 )
 
-from geomutil import hausdorff_brute
+from geomutil import hausdorff_brute, ifs_iterate_reference, snowflake_reference
 
 
 def test_contraction_ratio_examples():
@@ -70,6 +74,55 @@ def test_ifs_iterate_counts_and_fixed_point():
     assert g.maps[2].apply((0.0, SQRT3 / 2)) == pytest.approx((0.0, SQRT3 / 2))
     five = ifs_iterate(g, preset_seed("sierpinski-gasket"), 5)
     assert len(five.primitives) == 3**5 * 3
+
+
+# coefficients below 0.49 in size keep the Frobenius norm, and so the
+# contraction ratio, under 1; a few exact values make repeated points,
+# and the singular maps send segments onto lines and points
+_coeff = st.sampled_from([0.0, 0.25, -0.25, 0.48]) | st.floats(-0.48, 0.48)
+_shift = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+_general_maps = st.tuples(_coeff, _coeff, _coeff, _coeff, _shift, _shift).map(
+    lambda t: AffineMap2(*t))
+_singular_maps = st.tuples(_coeff, _coeff, st.floats(-1.0, 1.0), _shift, _shift).map(
+    lambda t: AffineMap2(t[0], t[1], t[2] * t[0], t[2] * t[1], t[3], t[4]))
+_vertex = st.tuples(_shift, _shift)
+_primitives = st.one_of(
+    _vertex.map(lambda v: Point(*v)),
+    st.tuples(_vertex, _vertex).filter(lambda s: s[0] != s[1]).map(lambda s: Segment(*s)),
+    st.lists(_vertex, min_size=3, max_size=5).map(lambda vs: Polygon(tuple(vs))),
+)
+
+
+def _outcome(iterate, system, seed, n):
+    try:
+        return iterate(system, seed, n)
+    except SurfclassError as e:
+        return type(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_general_maps | _singular_maps, min_size=1, max_size=3),
+    st.lists(_primitives, min_size=1, max_size=3),
+    st.integers(0, 4),
+)
+def test_ifs_iterate_matches_the_per_primitive_loop(maps, seed, n):
+    system, scene = IFS(tuple(maps)), Scene(tuple(seed))
+    assert _outcome(ifs_iterate, system, scene, n) == _outcome(
+        ifs_iterate_reference, system, scene, n)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_snowflake_matches_the_per_primitive_loop(n):
+    assert snowflake(n) == snowflake_reference(n)
+
+
+@pytest.mark.parametrize("row", [(0.5, 0, 0, 0.5, math.nan, 0), (0.5, 0, 0, 0.5, 1e308, 0)])
+def test_ifs_iterate_rejects_non_finite_coordinates(row):
+    system = IFS((AffineMap2(*row),))
+    seed = Scene((Segment((0.0, 0.0), (0.0, 1.0)),))
+    with pytest.raises(RenderLimitError):
+        ifs_iterate(system, seed, 6)
 
 
 def test_hausdorff_examples():
