@@ -273,25 +273,24 @@ def test_parse_ifs_rejects_non_finite_coefficients(files, capsys, bad):
     assert not (tmp / "o.svg").exists()
 
 
-def test_fractal_render_rejects_an_overflowing_render(files, capsys):
-    # finite coefficients, but the shift doubles past the largest float
+@pytest.mark.parametrize("maps, seed, iters, code", [
+    # a singular map collapses the segment at level 1
+    ("0.5 0 0 0 0 0", "0,0\n0,1\n", "1", "E_DEGENERATE_GEOMETRY"),
+    ("0.5 0 0 0 0 0", "0,0\n0,1\n", "4", "E_DEGENERATE_GEOMETRY"),
+    # finite coefficients, but the shift doubles x past the largest float
+    ("0.5 0 0 0.5 1e308 0", "0,0\n0,1\n", "6", "E_RENDER_LIMIT"),
+    # the shift absorbs the seed's unit length at level 1; x overflows at
+    # level 4 and y = 0 * inf is nan at level 5, where the segment's ends
+    # no longer compare equal: only the last level is checked
+    ("0.5 0 0 0.5 1e308 0", "0,0\n1,0\n", "3", "E_DEGENERATE_GEOMETRY"),
+    ("0.5 0 0 0.5 1e308 0", "0,0\n1,0\n", "5", "E_RENDER_LIMIT"),
+])
+def test_fractal_render_failure_is_one_coded_line(files, capsys, maps, seed, iters, code):
     write, tmp = files
-    ifs = write("far.ifs", "0.5 0 0 0.5 1e308 0\n")
-    seed = write("seg.pts", "0,0\n0,1\n")
-    argv = ["fractal-render", "--ifs", ifs, "--seed-file", seed, "--iters", "6"]
+    ifs, pts = write("maps.ifs", maps + "\n"), write("seg.pts", seed)
+    argv = ["fractal-render", "--ifs", ifs, "--seed-file", pts, "--iters", iters]
     assert run(argv + ["--out", str(tmp / "o.svg")]) == 1
-    one_coded_line(capsys.readouterr().err, "E_RENDER_LIMIT")
-    assert not (tmp / "o.svg").exists()
-
-
-@pytest.mark.parametrize("iters", ["1", "4"])
-def test_fractal_render_singular_map_collapses_a_segment(files, capsys, iters):
-    write, tmp = files
-    ifs = write("flat.ifs", "0.5 0 0 0 0 0\n")
-    seed = write("seg.pts", "0,0\n0,1\n")
-    argv = ["fractal-render", "--ifs", ifs, "--seed-file", seed, "--iters", iters]
-    assert run(argv + ["--out", str(tmp / "o.svg")]) == 1
-    one_coded_line(capsys.readouterr().err, "E_DEGENERATE_GEOMETRY")
+    one_coded_line(capsys.readouterr().err, code)
     assert not (tmp / "o.svg").exists()
 
 

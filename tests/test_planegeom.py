@@ -76,7 +76,7 @@ def test_ifs_iterate_counts_and_fixed_point():
     assert len(five.primitives) == 3**5 * 3
 
 
-# coefficients below 0.49 in size keep the Frobenius norm, and so the
+# coefficients of size at most 0.48 keep the Frobenius norm, and so the
 # contraction ratio, under 1; a few exact values make repeated points,
 # and the singular maps send segments onto lines and points
 _coeff = st.sampled_from([0.0, 0.25, -0.25, 0.48]) | st.floats(-0.48, 0.48)
