@@ -9,7 +9,9 @@ order.  These files pin that output and must not change unless an
 output change is intended (and declared in CHANGES.md).  The three
 ``*.scramble_trace`` files with more than one inner vertex and the
 ``scramble_II_3_2`` trace were regenerated when that survivor rule
-replaced "keep the first inner vertex, eliminate the second".
+replaced "keep the first inner vertex, eliminate the second".  The
+``word_*`` traces pin the composite word rules on one-face words, and
+with them the ``spend`` calls of each ``normalize`` phase.
 
 The ``homology`` and ``validate`` files pin the refine -> homology path
 and the triangulation checks: the groups, counts and the violations
@@ -22,6 +24,7 @@ a polygon scene rendered through the library.
 """
 
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,7 +32,7 @@ import pytest
 from surfclass.cli import run
 from surfclass.fileio import format_simplicial
 from surfclass.planegeom import SQRT3, Polygon, Scene, ifs_iterate, preset
-from surfclass.rewrite import NormalForm, make_canonical, normalize, scramble
+from surfclass.rewrite import NormalForm, _Rewriter, make_canonical, normalize, scramble
 from surfclass.simplicial import refine_to_triangulation
 from surfclass.svg import render_svg
 
@@ -80,6 +83,38 @@ def test_normalize_trace_of_scramble_matches_golden():
     K = scramble(make_canonical(NormalForm("II", 3, 2)), 3, 30)
     got = "".join(m.format() + "\n" for m in normalize(K).trace)
     assert got == expected("scramble_II_3_2_seed3_moves30.normalize_trace")
+
+
+# one-face words that reach the composite word rules, with the number of
+# ``spend`` calls that each phase of ``normalize`` makes on them
+PHASES = ("inner vertex reduction", "border vertex reduction", "cross-cap introduction",
+          "handle introduction", "mixed conversion", "loop grouping")
+WORD_RULES = {
+    # make_handle, handle_crosscap_to_crosscaps, group_loops, rename_face
+    "handle_crosscap": ("x h x' a b a' b' y k y' c c z m z'", (1, 1, 1, 2, 2, 2)),
+    # group_loops twice
+    "loops": ("x h x' a a y k y' b b z m z' c c", (1, 1, 1, 1, 1, 3)),
+    # make_crosscap on a separated pair: the slice between is inverted
+    "crosscap": ("x h x' a y k y' a z m z'", (1, 1, 2, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_RULES))
+def test_normalize_trace_of_word_rules_matches_golden(name, tmp_path, capsys, monkeypatch):
+    word, spends = WORD_RULES[name]
+    calls = []
+    real = _Rewriter.spend
+
+    def spend(self, phase):
+        calls.append(phase)
+        return real(self, phase)
+
+    monkeypatch.setattr(_Rewriter, "spend", spend)
+    path = tmp_path / f"{name}.cc"
+    path.write_text(f"face F : {word}\n", encoding="utf-8")
+    assert run(["normalize", str(path), "--trace"]) == 0
+    assert capsys.readouterr().out == expected(f"word_{name}.normalize_trace")
+    assert Counter(calls) == dict(zip(PHASES, spends))
 
 
 def run_out(argv, capsys):
