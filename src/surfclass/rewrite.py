@@ -10,9 +10,13 @@ Two elementary moves generate the equivalence of cell complexes:
 
 ``normalize`` drives a complex to the canonical single-face form:
 handles ``a b a' b'`` (orientable) or cross-caps ``a a`` otherwise,
-followed by one loop ``c h c'`` per boundary circle.  Composite word
-rewrites (cross-cap rule, handle rule, handle+cross-cap conversion,
-loop grouping) are applied as single trace steps.
+followed by one loop ``c h c'`` per boundary circle.  Every composite
+word rewrite (``x x'`` cancellation, rotation, reorientation, cross-cap
+rule, handle rule, handle+cross-cap conversion, loop grouping) is one
+splice record: rotate the face's word to a start, cut it into slices
+and write a template of slices, inverted slices and letters.  The word
+phases only choose the next record; ``_Rewriter.splice`` applies it as
+a single trace step.
 
 Every move, public or internal, runs on one engine: the public
 ``apply_*``, ``scramble``, ``replay_trace`` and ``normalize`` all apply
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .cellcomplex import (
     BORDER,
@@ -492,11 +497,20 @@ class _Rewriter:
 
     # -- normalization ----------------------------------------------------------
 
-    def reorient(self, face: str):
-        """Re-choose the stored orientation of a face (free operation)."""
-        self.mutate(
-            {face: inverse_word(self.faces[face])}, "composite", "reorient", (face,)
-        )
+    def splice(self, name: str, start: int, cuts: tuple, template: tuple, rule: str, args: tuple):
+        """A composite move on face ``name``: rotate its word to ``start``,
+        cut it at ``cuts`` into slices and write ``template``, where an int
+        k is slice k, ``~k`` is slice k inverted and an EdgeSym is itself."""
+        w = rotate(self.faces[name], start)
+        ends = (0, *cuts, len(w))
+        parts = [w[s:t] for s, t in zip(ends, ends[1:])]
+        new = []
+        for x in template:
+            if isinstance(x, EdgeSym):
+                new.append(x)
+            else:
+                new += parts[x] if x >= 0 else inverse_word(parts[~x])
+        return self.mutate({name: tuple(new)}, "composite", rule, args)
 
     def single_name(self) -> str:
         return next(iter(self.faces))
@@ -513,14 +527,8 @@ class _Rewriter:
         # faces are independent: clearing them in order cancels the same
         # pairs, in the same order, as rescanning from the first face
         for name in list(self.faces):
-            while (i := inverse_pair_at(self.faces[name])) is not None:
-                w = self.faces[name]
-                self.mutate(
-                    {name: rotate(w, i)[2:]},
-                    "composite",
-                    "cancel_inverse_pair",
-                    (repr(w[i]),),
-                )
+            while (i := inverse_pair_at(w := self.faces[name])) is not None:
+                self.splice(name, i, (2,), (1,), "cancel_inverse_pair", (repr(w[i]),))
                 self.spend("cancellation sweep")
 
     # -- vertex views ---------------------------------------------------------
@@ -555,11 +563,11 @@ class _Rewriter:
         if found is None:
             raise InternalInvariantViolation(f"adjacency {anchor!r} {target!r} not found")
         name, flip = found
-        if flip:
-            self.reorient(name)
+        if flip:  # re-choose the stored orientation of the face
+            self.splice(name, 0, (), (~0,), "reorient", (name,))
         i = at(self.faces[name])
         if i:
-            self.mutate({name: rotate(self.faces[name], i)}, "composite", "rotate", (name,))
+            self.splice(name, i, (), (0,), "rotate", (name,))
         # split off the small face (anchor victim' c); remainder keeps the rest
         c = self.fresh_edge()
         small, rest = self.fresh_face(), self.fresh_face()
@@ -674,7 +682,7 @@ class _Rewriter:
                 )
                 self.eliminate(anchor, victim)
 
-    # -- step 3: merge faces, then cross-caps ------------------------------------
+    # -- steps 3 and 4: merge faces, then shape the single word ------------------
 
     def merge_faces(self):
         while len(self.faces) > 1:
@@ -703,160 +711,128 @@ class _Rewriter:
             pos.setdefault(s.name, []).append(i)
         return {e: p for e, p in pos.items() if len(p) == 2}
 
-    def introduce_crosscaps(self, finished: set):
-        reserved = self._reserved()
+    def shape_word(self):
+        """Steps 3 and 4 on the single face: four phases, each a chooser
+        ``step(w)`` that returns the next splice record ``(start, cuts,
+        template, rule, args)`` for the word, or None when it is done."""
+        finished: set = set()
+        crosscaps = partial(self.crosscap_step, self._reserved(), finished)
+        self.run_phase("cross-cap introduction", crosscaps)
+        handles = partial(self.handle_step, self._reserved(), finished)
+        self.run_phase("handle introduction", handles)
+        self.run_phase("mixed conversion", self.mixed_step)
+        self.run_phase("loop grouping", self.loop_step)
+
+    def run_phase(self, phase: str, step):
+        """Splice what ``step`` chooses until it returns None; one spend a pass."""
         name = self.single_name()
         while True:
-            self.spend("cross-cap introduction")
-            w = self.faces[name]
-            n = len(w)
-            pairs = self._pair_positions(w)
-            chosen = None
-            for e in sorted(pairs):
-                if e in reserved or e in finished:
-                    continue
-                i, j = pairs[e]
-                if w[i] != w[j]:
-                    continue  # opposite signs: handle material
-                if j == (i + 1) % n or i == (j + 1) % n:
-                    finished.add(e)  # already an adjacent cross-cap
-                    continue
-                chosen = (i, j)
-                break
-            if chosen is None:
+            self.spend(phase)
+            record = step(self.faces[name])
+            if record is None:
                 return
-            i, j = chosen
-            rot = rotate(w, i)
-            k = (j - i) % n
-            x, y = rot[1:k], rot[k + 1:]
+            self.splice(name, *record)
+
+    def crosscap_step(self, reserved: set, finished: set, w: Word):
+        """``e x e y`` -> ``b b y' x`` for the least open same-sign pair e."""
+        n = len(w)
+        pairs = self._pair_positions(w)
+        for e in sorted(pairs):
+            if e in reserved or e in finished:
+                continue
+            i, j = pairs[e]
+            if w[i] != w[j]:
+                continue  # opposite signs: handle material
+            k = j - i
+            if k in (1, n - 1):
+                finished.add(e)  # already an adjacent cross-cap
+                continue
             b = EdgeSym(self.fresh_edge(), 1)
             finished.add(b.name)
-            self.mutate(
-                {name: (b, b) + inverse_word(y) + x},
-                "composite",
-                "make_crosscap",
-                (repr(rot[0]), b.name),
-            )
+            return i, (1, k, k + 1), (b, b, ~3, 1), "make_crosscap", (repr(w[i]), b.name)
+        return None
 
-    # -- step 4: handles, mixed conversion, loop grouping --------------------------
-
-    def introduce_handles(self, finished: set):
-        reserved = self._reserved()
-        name = self.single_name()
-        while True:
-            self.spend("handle introduction")
-            w = self.faces[name]
-            n = len(w)
-            pairs = self._pair_positions(w)
-            open_edges = sorted(
-                e for e in pairs if e not in reserved and e not in finished
+    def handle_step(self, reserved: set, finished: set, w: Word):
+        """``a u e v a' x e' y`` -> ``c d c' d' y x v u`` for the least open
+        pair a and the least open pair e that interleaves with it."""
+        n = len(w)
+        pairs = self._pair_positions(w)
+        open_edges = sorted(e for e in pairs if e not in reserved and e not in finished)
+        if not open_edges:
+            return None
+        a = open_edges[0]
+        i, j = pairs[a]
+        if w[i] == w[j]:
+            raise InternalInvariantViolation(
+                f"same-sign pair {a!r} survived the cross-cap step"
             )
-            if not open_edges:
-                return
-            a = open_edges[0]
-            i, j = pairs[a]
-            if w[i] == w[j]:
-                raise InternalInvariantViolation(
-                    f"same-sign pair {a!r} survived the cross-cap step"
-                )
-            if w[i].sign < 0:
-                i = j
-            rot = rotate(w, i)
-            k = next(t for t in range(1, n) if rot[t].name == a)
-            partner = None
-            for e in open_edges:
-                if e == a:
-                    continue
-                ps = [t for t, s in enumerate(rot) if s.name == e]
-                if (ps[0] < k) != (ps[1] < k):
-                    partner = (e, ps[0], ps[1])
-                    break
-            if partner is None:
-                raise InternalInvariantViolation(
-                    f"pair {a!r} interleaves with no open pair"
-                )
-            e, j1, j2 = partner
-            if rot[j2] != rot[j1].inv():
-                raise InternalInvariantViolation(f"pair {e!r} is not opposite-signed")
-            u, v = rot[1:j1], rot[j1 + 1:k]
-            x, y = rot[k + 1:j2], rot[j2 + 1:]
-            c = EdgeSym(self.fresh_edge(), 1)
-            d = EdgeSym(self.fresh_edge(), 1)
-            finished.update((c.name, d.name))
-            self.mutate(
-                {name: (c, d, c.inv(), d.inv()) + y + x + v + u},
-                "composite",
-                "make_handle",
-                (a, e, c.name, d.name),
-            )
+        if w[i].sign < 0:
+            i, j = j, i
+        k = (j - i) % n
+        for e in open_edges[1:]:
+            j1, j2 = sorted((t - i) % n for t in pairs[e])
+            if (j1 < k) != (j2 < k):
+                break
+        else:
+            raise InternalInvariantViolation(f"pair {a!r} interleaves with no open pair")
+        if w[(i + j2) % n] != w[(i + j1) % n].inv():
+            raise InternalInvariantViolation(f"pair {e!r} is not opposite-signed")
+        c = EdgeSym(self.fresh_edge(), 1)
+        d = EdgeSym(self.fresh_edge(), 1)
+        finished.update((c.name, d.name))
+        cuts = (1, j1, j1 + 1, k, k + 1, j2, j2 + 1)
+        return i, cuts, (c, d, c.inv(), d.inv(), 7, 5, 3, 1), "make_handle", (a, e, c.name, d.name)
 
-    def convert_mixed(self, finished: set):
-        name = self.single_name()
-        while True:
-            self.spend("mixed conversion")
-            w = self.faces[name]
-            n = len(w)
-            border = self.border_edges()
-            ci = next((i for i in range(n) if _is_crosscap(w, i, border)), None)
-            if ci is None:
-                return
-            rot = rotate(w, ci)
-            hi = next((i for i in range(2, n - 3) if _is_handle(rot, i, border)), None)
-            if hi is None:
-                return
-            x, y = rot[2:hi], rot[hi + 4:]
-            a2 = EdgeSym(self.fresh_edge(), 1)
-            c1 = EdgeSym(self.fresh_edge(), 1)
-            b1 = EdgeSym(self.fresh_edge(), 1)
-            finished.update((a2.name, c1.name, b1.name))
-            self.mutate(
-                {name: (a2, a2) + x + (c1, c1, b1, b1) + y},
-                "composite",
-                "handle_crosscap_to_crosscaps",
-                (repr(rot[0]), repr(rot[hi]), repr(rot[hi + 1])),
-            )
+    def mixed_step(self, w: Word):
+        """``x x u a b a' b' v`` -> ``a2 a2 u c1 c1 b1 b1 v`` for the first
+        cross-cap and the first handle after it."""
+        n = len(w)
+        border = self.border_edges()
+        ci = next((i for i in range(n) if _is_crosscap(w, i, border)), None)
+        if ci is None:
+            return None
+        hi = next((h for h in range(2, n - 3) if _is_handle(w, (ci + h) % n, border)), None)
+        if hi is None:
+            return None
+        a2, c1, b1 = (EdgeSym(self.fresh_edge(), 1) for _ in range(3))
+        args = (repr(w[ci]), repr(w[(ci + hi) % n]), repr(w[(ci + hi + 1) % n]))
+        template = (a2, a2, 1, c1, c1, b1, b1, 3)
+        return ci, (2, hi, hi + 4), template, "handle_crosscap_to_crosscaps", args
 
-    def group_loops(self):
-        name = self.single_name()
-        while True:
-            self.spend("loop grouping")
-            w = self.faces[name]
-            n = len(w)
-            border = self.border_edges()
-            starts = [i for i in range(n) if _is_loop(w, i, border)]
-            if len(starts) != len(border):
-                raise InternalInvariantViolation("a loop lost its shape")
-            if len(starts) <= 1:
-                return
-            m = len(starts)
-            gaps = [(starts[(t + 1) % m] - (s + 3)) % n for t, s in enumerate(starts)]
-            nz = [t for t in range(m) if gaps[t]]
-            if len(nz) <= 1:
-                return
-            # the rewrite merges gap t leftward into gap t-1.  Targeting
-            # the nonzero gap with the fewest zero gaps to its left makes
-            # (#nonzero gaps, that distance) strictly decrease, so the
-            # grouping cannot cycle however the word gets re-rotated.
-            def left_zeros(t):
-                d = 0
-                j = (t - 1) % m
-                while gaps[j] == 0:
-                    d += 1
-                    j = (j - 1) % m
-                return d
+    def loop_step(self, w: Word):
+        """``c h c' x l2 y`` -> ``c1 h c1' l2 y x``: the loop before the
+        chosen gap x moves up to the next loop l2, and x joins y."""
+        n = len(w)
+        border = self.border_edges()
+        starts = [i for i in range(n) if _is_loop(w, i, border)]
+        if len(starts) != len(border):
+            raise InternalInvariantViolation("a loop lost its shape")
+        if len(starts) <= 1:
+            return None
+        m = len(starts)
+        gaps = [(starts[(t + 1) % m] - (s + 3)) % n for t, s in enumerate(starts)]
+        nz = [t for t in range(m) if gaps[t]]
+        if len(nz) <= 1:
+            return None
+        # the rewrite merges gap t leftward into gap t-1.  Targeting
+        # the nonzero gap with the fewest zero gaps to its left makes
+        # (#nonzero gaps, that distance) strictly decrease, so the
+        # grouping cannot cycle however the word gets re-rotated.
+        def left_zeros(t):
+            d = 0
+            j = (t - 1) % m
+            while gaps[j] == 0:
+                d += 1
+                j = (j - 1) % m
+            return d
 
-            t = min(nz, key=lambda t: (left_zeros(t), t))
-            s1, s2 = starts[t], starts[(t + 1) % len(starts)]
-            rot = rotate(w, s1)
-            k = (s2 - s1) % n
-            x, l2, y = rot[3:k], rot[k:k + 3], rot[k + 3:]
-            c1 = EdgeSym(self.fresh_edge(), 1)
-            self.mutate(
-                {name: (c1, rot[1], c1.inv()) + l2 + y + x},
-                "composite",
-                "group_loops",
-                (repr(rot[1]), repr(rot[k + 1])),
-            )
+        t = min(nz, key=lambda t: (left_zeros(t), t))
+        s1, s2 = starts[t], starts[(t + 1) % m]
+        h = w[(s1 + 1) % n]
+        c1 = EdgeSym(self.fresh_edge(), 1)
+        k = (s2 - s1) % n
+        template = (c1, h, c1.inv(), 2, 3, 1)
+        return s1, (3, k, k + 3), template, "group_loops", (repr(h), repr(w[(s2 + 1) % n]))
 
     # -- final assembly --------------------------------------------------------
 
@@ -923,11 +899,7 @@ def normalize(K: CellComplex) -> NormalizationResult:
     rw.merge_faces()
     if rw.is_sphere_state():
         return rw.finish(NormalForm(TYPE_I, 0, 0))
-    finished: set = set()
-    rw.introduce_crosscaps(finished)
-    rw.introduce_handles(finished)
-    rw.convert_mixed(finished)
-    rw.group_loops()
+    rw.shape_word()
     return rw.assemble()
 
 

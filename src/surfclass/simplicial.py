@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 from .cellcomplex import CellComplex, build as build_complex
 from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
@@ -285,28 +286,24 @@ def homology(K: SimplicialComplex2):
 
 
 # ---------------------------------------------------------------------------
-# refinement of a cell complex into a triangulation
+# refinement of a cell complex into a triangulation; ``fresh`` yields the
+# unused edge names _g<k> in order
 
 
-def _bulk_split_all_edges(faces: dict, counter: list) -> dict:
-    split = {}
-    for e in sorted({s.name for w in faces.values() for s in w}):
-        split[e] = (f"_g{counter[0]}", f"_g{counter[0] + 1}")
-        counter[0] += 2
+def _bulk_split_all_edges(faces: dict, fresh) -> dict:
+    edges = sorted({s.name for w in faces.values() for s in w})
+    split = {e: (next(fresh), next(fresh)) for e in edges}
     return {n: subst_p1(w, split) for n, w in faces.items()}
 
 
-def _bulk_star_faces(faces: dict, counter: list) -> dict:
+def _bulk_star_faces(faces: dict, fresh) -> dict:
     """Cut every face into triangles around a central vertex."""
     out = {}
     for name, w in faces.items():
         n = len(w)
         if n < 2:
             raise InternalInvariantViolation("face too short to star")
-        spokes = []
-        for _ in range(n):
-            spokes.append(f"_g{counter[0]}")
-            counter[0] += 1
+        spokes = [next(fresh) for _ in range(n)]
         for i in range(n):
             prev = EdgeSym(spokes[i - 1], -1)
             nxt = EdgeSym(spokes[i], 1)
@@ -314,17 +311,14 @@ def _bulk_star_faces(faces: dict, counter: list) -> dict:
     return out
 
 
-def _bulk_quadrisect(faces: dict, counter: list) -> dict:
+def _bulk_quadrisect(faces: dict, fresh) -> dict:
     """Split every edge, then cut each hexagon into four triangles."""
-    faces = _bulk_split_all_edges(faces, counter)
+    faces = _bulk_split_all_edges(faces, fresh)
     out = {}
     for name, w in faces.items():
         if len(w) != 6:
             raise InternalInvariantViolation("expected hexagon after edge split")
-        e = []
-        for _ in range(3):
-            e.append(f"_g{counter[0]}")
-            counter[0] += 1
+        e = [next(fresh) for _ in range(3)]
         # corners (w1 w2 | e0), (w3 w4 | e1), (w5 w0 | e2), center (e2' e0' e1')
         out[f"{name}_c0"] = (w[1], w[2], EdgeSym(e[0], 1))
         out[f"{name}_c1"] = (w[3], w[4], EdgeSym(e[1], 1))
@@ -377,20 +371,19 @@ def refine_to_triangulation(K: CellComplex):
     """
     report = K.invariant_report()
     faces = _cancel_inverse_pairs(dict(K.faces))
-    counter = [fresh_start([*K.edges, *K.face_map])]
+    fresh = map("_g{}".format, count(fresh_start([*K.edges, *K.face_map])))
     # a null-boundary face is first cut into two one-gon lunes
     if len(faces) == 1 and not next(iter(faces.values())):
         name, w = next(iter(faces.items()))
-        faces = dict(zip((name, f"{name}_l"), split_face(w, 0, f"_g{counter[0]}")))
-        counter[0] += 1
-    faces = _bulk_split_all_edges(faces, counter)
+        faces = dict(zip((name, f"{name}_l"), split_face(w, 0, next(fresh))))
+    faces = _bulk_split_all_edges(faces, fresh)
     # one-gon faces become bigons whose stars are degenerate pillows;
     # splitting once more makes every boundary at least a square
     if any(len(w) < 3 for w in faces.values()):
-        faces = _bulk_split_all_edges(faces, counter)
-    faces = _bulk_star_faces(faces, counter)
+        faces = _bulk_split_all_edges(faces, fresh)
+    faces = _bulk_star_faces(faces, fresh)
     for _ in range(3):
-        faces = _bulk_quadrisect(faces, counter)
+        faces = _bulk_quadrisect(faces, fresh)
         refined = build_complex(faces, internal=True)
         if refined.euler_characteristic() != report.euler:
             raise InternalInvariantViolation(

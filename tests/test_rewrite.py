@@ -3,7 +3,7 @@ import random
 import pytest
 
 from surfclass.cellcomplex import build
-from surfclass.edgeword import format_word, parse_word
+from surfclass.edgeword import format_word, parse_word, sym
 from surfclass.errors import (
     BadPositionError,
     NameCollisionError,
@@ -13,7 +13,9 @@ from surfclass.errors import (
 from surfclass.rewrite import (
     TYPE_I,
     TYPE_II,
+    Move,
     NormalForm,
+    _Rewriter,
     apply_p1,
     apply_p1_inverse,
     apply_p2,
@@ -214,3 +216,34 @@ def test_parity_invariant():
         r = K.invariant_report()
         if r.orientable:
             assert (2 - r.euler - r.num_contours) % 2 == 0
+
+
+# (word, start, cuts, template, rule, word after); a str in a template is
+# the letter it names
+SPLICES = [
+    # one slice, start 0: nothing moves
+    ("a b a' b'", 0, (), (0,), "rotate", "a b a' b'"),
+    # one slice from position 1
+    ("a b a' b'", 1, (), (0,), "rotate", "b a' b' a"),
+    # one inverted slice
+    ("a b a' b'", 0, (), (~0,), "reorient", "b a b' a'"),
+    # letters, an inverted slice and a slice: e x e y -> g g y' x
+    ("a x a y", 0, (1, 2, 3), ("g", "g", ~3, 1), "make_crosscap", "g g y' x"),
+    # four empty slices: a e a' e' -> c d c' d'
+    ("a e a' e'", 0, (1, 1, 2, 2, 3, 3, 4), ("c", "d", "c'", "d'", 7, 5, 3, 1),
+     "make_handle", "c d c' d'"),
+    # a start that wraps: cancel the a a' across the end of the word
+    ("a' b c a", 3, (2,), (1,), "cancel_inverse_pair", "b c"),
+    # an empty face
+    ("", 0, (), (), "rotate", ""),
+]
+
+
+@pytest.mark.parametrize("word, start, cuts, template, rule, after", SPLICES)
+def test_splice_is_one_recorded_move(word, start, cuts, template, rule, after):
+    rw = _Rewriter(build({"A": word}))
+    template = tuple(sym(t) if isinstance(t, str) else t for t in template)
+    rw.splice("A", start, cuts, template, rule, ("A",))
+    before, got = (("A", parse_word(word)),), (("A", parse_word(after)),)
+    assert rw.trace == [Move("composite", rule, ("A",), before, got)]
+    assert rw.faces == {"A": parse_word(after)}
