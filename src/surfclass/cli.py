@@ -246,7 +246,7 @@ def cmd_fractal_render(args, out):
         raise UsageError("--iters must be nonnegative")
     if args.preset == "snowflake":
         # three copies of the iterated Koch curve
-        koch = len(preset_seed("koch").primitives)
+        koch = len(preset_seed("koch").template)
         _check_render_size(3 * koch, len(preset("koch").maps), args.iters)
         scene = snowflake(args.iters)
     else:
@@ -264,13 +264,15 @@ def cmd_fractal_render(args, out):
             seed_scene = Scene(prims)
         if seed_scene is None:
             raise UsageError("custom IFS needs --seed-file")
-        _check_render_size(len(seed_scene.primitives), len(system.maps), args.iters)
+        _check_render_size(len(seed_scene.template), len(system.maps), args.iters)
         scene = ifs_iterate(system, seed_scene, args.iters)
     text = svg.render_svg(scene)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print(f"wrote {args.out} ({len(scene.primitives)} primitives)", file=sys.stderr)
+        # the scene is nonempty, so a copy has vertices; count from the list lengths
+        count = len(scene.template) * len(scene.xs) // scene.offsets[-1]
+        print(f"wrote {args.out} ({count} primitives)", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0

@@ -7,9 +7,11 @@ All coordinates are 64-bit floats; tolerances are stated per operation.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
+from sys import float_info
 
 from .errors import (
     DegenerateGeometryError,
@@ -109,46 +111,69 @@ class Polygon:
         return Polygon(tuple(vs))
 
 
-@dataclass(frozen=True)
 class Scene:
-    primitives: tuple
+    """A template of primitives and the flat x and y lists of every copy's
+    vertices, copy-major: with k vertices in the template, copy c's vertex
+    j is (xs[c * k + j], ys[c * k + j]), and the template fixes each slot's
+    kind and vertex count.  A hand-built Scene(prims) is one copy of prims.
+    """
+
+    def __init__(self, template, xs=None, ys=None):
+        self.template = tuple(template)
+        self.offsets = [0, *accumulate(len(p.vertices()) for p in self.template)]
+        vs = [v for p in self.template for v in p.vertices()]
+        self.xs = [x for x, _ in vs] if xs is None else xs
+        self.ys = [y for _, y in vs] if ys is None else ys
+
+    @property
+    def primitives(self) -> tuple:
+        """Every copy's primitives, copy-major, built on request."""
+        slots = list(zip(self.template, self.offsets, self.offsets[1:]))
+        # zip(*[it] * k) reads the vertices k at a time: one copy
+        copies = zip(*[zip(self.xs, self.ys)] * self.offsets[-1])
+        return tuple([p.replace(copy[lo:hi]) for copy in copies for p, lo, hi in slots])
+
+    def __eq__(self, other):
+        return isinstance(other, Scene) and self.primitives == other.primitives
 
     def bounding_box(self):
-        xs = [x for p in self.primitives for x, _ in p.vertices()]
-        ys = [y for p in self.primitives for _, y in p.vertices()]
-        if not xs:
+        if not self.xs:
             raise EmptySetError("empty scene")
-        return min(xs), min(ys), max(xs), max(ys)
+        return min(self.xs), min(self.ys), max(self.xs), max(self.ys)
 
 
-def _iterate(rounds, seed) -> Scene:
-    """The seed's vertices, as flat x and y lists, under each round of
-    maps in map-major order; primitives are cut from the last round."""
-    xs = [x for prim in seed for x, _ in prim.vertices()]
-    ys = [y for prim in seed for _, y in prim.vertices()]
+def _iterate(rounds, scene: Scene) -> Scene:
+    """The scene's flat x and y lists under each round of maps: a round
+    writes each map's image of the whole list in turn, so every copy stays
+    one block of k vertices in template order, copy-major.  At the last
+    round the first segment in copy-major order whose ends coincide is
+    named; then a coordinate that is not finite raises RenderLimitError."""
+    xs, ys = scene.xs, scene.ys
     for maps in rounds:
-        nx, ny = [], []
-        for m in maps:
-            nx += [m.a * x + m.b * y + m.e for x, y in zip(xs, ys)]
-            ny += [m.c * x + m.d * y + m.f for x, y in zip(xs, ys)]
-        xs, ys = nx, ny
-    ends = [0, *accumulate(len(prim.vertices()) for prim in seed)]
-    cuts = list(zip(seed, ends, ends[1:]))
-    # zip(*[it] * k) reads the last round's vertices k at a time: one seed copy
-    copies = zip(*[zip(xs, ys)] * ends[-1])
-    prims = tuple([prim.replace(copy[lo:hi]) for copy in copies for prim, lo, hi in cuts])
+        xs, ys = ([m.a * x + m.b * y + m.e for m in maps for x, y in zip(xs, ys)],
+                  [m.c * x + m.d * y + m.f for m in maps for x, y in zip(xs, ys)])
+    out, k, n = Scene(scene.template, xs, ys), scene.offsets[-1], len(xs)
+    # per segment slot, the flat index of the first copy whose ends coincide
+    # (n if none); the least of them is the first segment in copy-major order
+    firsts = [n]
+    for prim, lo in zip(out.template, out.offsets):
+        if isinstance(prim, Segment):
+            same = map(operator.eq, zip(xs[lo::k], ys[lo::k]), zip(xs[lo + 1::k], ys[lo + 1::k]))
+            firsts.append(next(compress(range(lo, n, k), same), n))
+    i = min(firsts)
+    if i < n:
+        raise DegenerateGeometryError(f"segment endpoints coincide at {(xs[i], ys[i])}")
     if not all(map(math.isfinite, chain(xs, ys))):
         raise RenderLimitError("an iterated coordinate overflows: it is not a finite float")
-    return Scene(prims)
+    return out
 
 
 def ifs_iterate(sys: IFS, scene: Scene, n: int) -> Scene:
     """n-fold application of S -> union of map(S); vertex-wise and exact
-    for points, segments and polygons under affine maps.  Primitives
-    come out in map-major order, built once from the last level's
-    vertices, so segments are checked for degeneracy there; a coordinate
-    that is not finite raises RenderLimitError."""
-    return _iterate(repeat(sys.maps, n), scene.primitives)
+    for points, segments and polygons under affine maps.  The result keeps
+    the scene's template, so no primitive is built; segments are checked
+    at the last level only."""
+    return _iterate(repeat(sys.maps, n), scene)
 
 
 def _scan(strip, px, py, gap, best, bound):
@@ -207,45 +232,6 @@ def hausdorff_distance(A, B) -> float:
     if not A or not B:
         raise EmptySetError("Hausdorff distance needs nonempty sets")
     return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
-
-
-def certify_convergence(sys: IFS, a0, steps: int, tol: float = 1e-9):
-    """Successive-iterate distances d_n = D(A_n, A_{n+1}) on point sets.
-
-    Checks the contraction chain d_{n+1} <= lam d_n + tol and the
-    geometric envelope d_n <= lam^n d_0 + tol; any failure is a bug in
-    the maps or the metric, so it raises.
-    """
-    cur = [tuple(p) for p in a0]
-    if not cur:
-        raise EmptySetError("need a nonempty start set")
-
-    def step(pts):
-        out = []
-        seen = set()
-        for m in sys.maps:
-            for p in pts:
-                q = m.apply(p)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-        return out
-
-    deltas = []
-    nxt = step(cur)
-    for n in range(steps):
-        deltas.append(hausdorff_distance(cur, nxt))
-        cur, nxt = nxt, step(nxt)
-    lam = sys.lam
-    for n in range(1, len(deltas)):
-        if deltas[n] > lam * deltas[n - 1] + tol:
-            raise NotContractingError(
-                f"contraction chain violated at step {n}: "
-                f"{deltas[n]} > {lam} * {deltas[n-1]} + {tol}"
-            )
-        if deltas[n] > (lam ** n) * deltas[0] + tol:
-            raise NotContractingError(f"geometric envelope violated at step {n}")
-    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +305,7 @@ def snowflake(iters: int) -> Scene:
         sides.append(AffineMap2(ca, -cb, cb, ca, ex, ey))
     # the side maps are not contractions, so they are a map list, not an IFS
     rounds = chain(repeat(preset("koch").maps, iters), [sides])
-    return _iterate(rounds, preset_seed("koch").primitives)
+    return _iterate(rounds, preset_seed("koch"))
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +317,16 @@ class ClosedCurve:
     points: tuple  # >= 3 points, implicitly closed
 
     def __post_init__(self):
-        n = len(self.points)
+        pts = self.points
+        n = len(pts)
         if n < 3:
             raise DegenerateGeometryError(f"closed curve needs at least 3 points, got {n}")
-        for i in range(n):
-            if self.points[i] == self.points[(i + 1) % n]:
+        for i, (p, q) in enumerate(zip(pts, pts[1:] + pts[:1])):
+            if p == q:
                 raise DegenerateGeometryError(
-                    f"consecutive curve points {i + 1} and {(i + 1) % n + 1} "
-                    f"coincide at {self.points[i]}"
+                    f"consecutive curve points {i + 1} and {(i + 1) % n + 1} coincide at {p}"
                 )
 
-
-def _point_segment_dist(p, a, b) -> float:
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    vx, vy = bx - ax, by - ay
-    L2 = vx * vx + vy * vy
-    t = ((px - ax) * vx + (py - ay) * vy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 MAX_BISECTIONS = 40
 
@@ -363,20 +339,40 @@ def winding_number(curve: ClosedCurve, z0, residual_tol: float = 1e-6) -> int:
     angle sum is then an exact multiple of 2 pi up to roundoff.
     """
     pts = list(curve.points)
-    n = len(pts)
     x0, y0 = z0
-    minx, miny = min(p[0] for p in pts), min(p[1] for p in pts)
-    maxx, maxy = max(p[0] for p in pts), max(p[1] for p in pts)
-    eps = 1e-9 * math.hypot(maxx - minx, maxy - miny)
-    for i in range(n):
-        if _point_segment_dist(z0, pts[i], pts[(i + 1) % n]) <= eps:
+    minx, miny = maxx, maxy = pts[0]
+    for x, y in pts:
+        if x < minx:
+            minx = x
+        elif x > maxx:
+            maxx = x
+        if y < miny:
+            miny = y
+        elif y > maxy:
+            maxy = y
+    hypot = math.hypot
+    eps = 1e-9 * hypot(maxx - minx, maxy - miny)
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        vx, vy = bx - ax, by - ay
+        L2 = vx * vx + vy * vy
+        if L2 >= float_info.min:
+            t = ((x0 - ax) * vx + (y0 - ay) * vy) / L2
+        else:  # the squared length underflows: scale by the longest side
+            s = max(abs(vx), abs(vy))
+            ux, uy = vx / s, vy / s
+            t = ((x0 - ax) / s * ux + (y0 - ay) / s * uy) / (ux * ux + uy * uy)
+        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
+        if hypot(x0 - (ax + t * vx), y0 - (ay + t * vy)) <= eps:
             raise PointOnCurveError(f"point {z0} lies on the curve")
 
     z = complex(x0, y0)
+    zs = [complex(x, y) for x, y in pts]
     total = 0.0
-    for i in range(n):
-        a = complex(*pts[i])
-        b = complex(*pts[(i + 1) % n])
+    for a, b in zip(zs, zs[1:] + zs[:1]):
+        w = (b - z) / (a - z)
+        if abs(w - 1.0) < 1.0:
+            total += math.atan2(w.imag, w.real)
+            continue
         stack = [(a, b, 0)]
         while stack:
             u, v, depth = stack.pop()
@@ -387,7 +383,7 @@ def winding_number(curve: ClosedCurve, z0, residual_tol: float = 1e-6) -> int:
             if depth >= MAX_BISECTIONS:
                 raise RefinementLimitError("bisection limit hit; adversarial input")
             mid = (u + v) / 2.0
-            stack.append(((mid), v, depth + 1))
+            stack.append((mid, v, depth + 1))
             stack.append((u, mid, depth + 1))
     turns = total / (2.0 * math.pi)
     nearest = round(turns)

@@ -4,10 +4,15 @@ Identical scenes produce byte-identical files: coordinates are
 formatted with a fixed precision and nothing environmental (time,
 versions, ids) is embedded.  The viewBox is the scene bounding box
 padded by 5%; points render as small circles, segments and polygons as
-paths.  The y axis is flipped so +y is up, as in the plane.
+paths.  The y axis is flipped so +y is up, as in the plane.  The writer
+reads the scene's flat coordinate lists, formats each coordinate once,
+and writes one element per template slot and copy, copy-major.
 """
 
 from __future__ import annotations
+
+import operator
+from itertools import chain
 
 from .planegeom import Point, Polygon, Scene, Segment
 
@@ -31,29 +36,25 @@ def render_svg(scene: Scene) -> str:
     stroke = max(w, h) / 500.0
     radius = max(w, h) / 200.0
     fmt = _Formatted()
-
-    def pt(p):
-        x, y = p
-        return f"{fmt[x]} {fmt[-y]}"
-
-    body = []
-    for prim in scene.primitives:
+    xy = [list(map(fmt.__getitem__, scene.xs)),
+          list(map(fmt.__getitem__, map(operator.neg, scene.ys)))]
+    k, columns = scene.offsets[-1], []
+    for prim, lo, hi in zip(scene.template, scene.offsets, scene.offsets[1:]):
         if isinstance(prim, Point):
-            body.append(
-                f'<circle fill="black" cx="{fmt[prim.x]}" cy="{fmt[-prim.y]}" '
-                f'r="{fmt[radius]}"/>'
-            )
+            form = f'<circle fill="black" cx="{{}}" cy="{{}}" r="{fmt[radius]}"/>'
         elif isinstance(prim, Segment):
-            body.append(f'<path d="M {pt(prim.p1)} L {pt(prim.p2)}"/>')
+            form = '<path d="M {} {} L {} {}"/>'
         elif isinstance(prim, Polygon):
-            d = "M " + " L ".join(pt(p) for p in prim.points) + " Z"
-            body.append(f'<path fill="black" fill-opacity="0.9" d="{d}"/>')
+            d = " L ".join(["{} {}"] * (hi - lo))
+            form = f'<path fill="black" fill-opacity="0.9" d="M {d} Z"/>'
         else:
             raise TypeError(f"unknown primitive {prim!r}")
+        # one column per slot: its element in every copy, from strided vertex slices
+        columns.append(map(form.format, *[c[j::k] for j in range(lo, hi) for c in xy]))
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{fmt[vb[0]]} {fmt[vb[1]]} {fmt[vb[2]]} {fmt[vb[3]]}">\n'
         f'<g fill="none" stroke="black" stroke-width="{fmt[stroke]}" '
         'stroke-linecap="round">\n'
     )
-    return header + "\n".join(body) + "\n</g>\n</svg>\n"
+    return header + "\n".join(chain.from_iterable(zip(*columns))) + "\n</g>\n</svg>\n"

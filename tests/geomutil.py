@@ -1,16 +1,20 @@
-"""Reference oracles for the tests.
+"""Reference oracles and certificates for the tests.
 
 The Hausdorff oracle is the quadratic max-min scan, sharing no code
 with ``surfclass.planegeom``'s strip search.  The IFS oracles build
 every level's primitives from the previous level's, one primitive at a
 time, sharing no iteration code with ``ifs_iterate``'s flat coordinate
-lists.
+lists.  The SVG oracle writes one element per primitive, sharing no
+code with ``render_svg``'s writer, which reads the flat lists.
+``certify_convergence`` checks the contraction theorem on point sets.
 """
 
 import math
 
-from surfclass.errors import EmptySetError
-from surfclass.planegeom import SQRT3, AffineMap2, Scene, preset, preset_seed
+from surfclass.errors import EmptySetError, NotContractingError
+from surfclass.planegeom import (
+    SQRT3, AffineMap2, Point, Polygon, Scene, Segment, hausdorff_distance, preset, preset_seed,
+)
 
 
 def hausdorff_brute(A, B) -> float:
@@ -52,3 +56,79 @@ def snowflake_reference(iters):
         for prim in base.primitives:
             prims.append(prim.replace(tuple(m.apply(v) for v in prim.vertices())))
     return Scene(tuple(prims))
+
+
+def _fmt(x):
+    s = f"{x:.6f}".rstrip("0").rstrip(".")
+    return "0" if s == "-0" else s
+
+
+def render_svg_reference(scene):
+    """The per-primitive writer: a bounding box over every primitive's
+    vertices, then one isinstance dispatch and one element per primitive."""
+    prims = scene.primitives
+    xs = [x for p in prims for x, _ in p.vertices()]
+    ys = [y for p in prims for _, y in p.vertices()]
+    if not xs:
+        raise EmptySetError("empty scene")
+    minx, miny, maxx, maxy = min(xs), min(ys), max(xs), max(ys)
+    w = maxx - minx or 1.0
+    h = maxy - miny or 1.0
+    pad = 0.05 * max(w, h)
+    vb = (minx - pad, -(maxy + pad), w + 2 * pad, h + 2 * pad)
+    stroke = max(w, h) / 500.0
+    radius = max(w, h) / 200.0
+
+    def pt(p):
+        x, y = p
+        return f"{_fmt(x)} {_fmt(-y)}"
+
+    body = []
+    for prim in prims:
+        if isinstance(prim, Point):
+            body.append(
+                f'<circle fill="black" cx="{_fmt(prim.x)}" cy="{_fmt(-prim.y)}" '
+                f'r="{_fmt(radius)}"/>'
+            )
+        elif isinstance(prim, Segment):
+            body.append(f'<path d="M {pt(prim.p1)} L {pt(prim.p2)}"/>')
+        elif isinstance(prim, Polygon):
+            d = "M " + " L ".join(pt(p) for p in prim.points) + " Z"
+            body.append(f'<path fill="black" fill-opacity="0.9" d="{d}"/>')
+        else:
+            raise TypeError(f"unknown primitive {prim!r}")
+    header = (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">\n'
+        f'<g fill="none" stroke="black" stroke-width="{_fmt(stroke)}" '
+        'stroke-linecap="round">\n'
+    )
+    return header + "\n".join(body) + "\n</g>\n</svg>\n"
+
+
+def certify_convergence(sys, a0, steps, tol=1e-9):
+    """Successive-iterate distances d_n = D(A_n, A_{n+1}) on point sets.
+
+    Checks the contraction chain d_{n+1} <= lam d_n + tol and the
+    geometric envelope d_n <= lam^n d_0 + tol; any failure is a bug in
+    the maps or the metric, so it raises.
+    """
+    cur = [tuple(p) for p in a0]
+    if not cur:
+        raise EmptySetError("need a nonempty start set")
+    deltas = []
+    for _ in range(steps):
+        # every map's image of every point, first occurrences in order
+        nxt = list(dict.fromkeys(m.apply(p) for m in sys.maps for p in cur))
+        deltas.append(hausdorff_distance(cur, nxt))
+        cur = nxt
+    lam = sys.lam
+    for n in range(1, len(deltas)):
+        if deltas[n] > lam * deltas[n - 1] + tol:
+            raise NotContractingError(
+                f"contraction chain violated at step {n}: "
+                f"{deltas[n]} > {lam} * {deltas[n-1]} + {tol}"
+            )
+        if deltas[n] > (lam ** n) * deltas[0] + tol:
+            raise NotContractingError(f"geometric envelope violated at step {n}")
+    return deltas

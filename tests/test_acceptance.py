@@ -18,7 +18,6 @@ from surfclass.intlinalg import (
 from surfclass.planegeom import (
     SQRT3,
     ClosedCurve,
-    certify_convergence,
     hausdorff_distance,
     ifs_iterate,
     preset,
@@ -42,6 +41,7 @@ from surfclass.simplicial import (
 )
 from surfclass.svg import render_svg
 
+from geomutil import certify_convergence
 from matrixutil import minor_gcd_invariants
 
 Z = FgAbelianGroup(1, ())

@@ -142,7 +142,7 @@ def test_fractal_render_deterministic(files, capsys):
     a, b = str(tmp / "a.svg"), str(tmp / "b.svg")
     assert run(["fractal-render", "--preset", "sierpinski-gasket", "--iters", "4", "--out", a]) == 0
     assert run(["fractal-render", "--preset", "sierpinski-gasket", "--iters", "4", "--out", b]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"wrote {a} (243 primitives)\nwrote {b} (243 primitives)\n"
     da = (tmp / "a.svg").read_bytes()
     db = (tmp / "b.svg").read_bytes()
     assert da == db
@@ -167,6 +167,7 @@ def test_fractal_render_point_seed_circles(files, capsys):
         "fractal-render", "--preset", "sierpinski-gasket", "--iters", "2",
         "--seed-file", seed, "--out", out_path,
     ]) == 0
+    assert capsys.readouterr().err == f"wrote {out_path} (9 primitives)\n"
     assert (tmp / "p.svg").read_text().count("<circle") == 9
 
 
@@ -217,6 +218,23 @@ def one_coded_line(err, code):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(code + ": "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point, out, code", [
+    ("5e-171,5e-171", "1\n", 0),
+    ("2e-170,5e-171", "0\n", 0),
+    ("5e-171,0", "", 1),
+    ("1e-170,3e-171", "", 1),
+])
+def test_winding_on_a_curve_whose_squared_sides_underflow(files, capsys, point, out, code):
+    # a side of 1e-170 squares to 0.0: the projection onto it is scaled
+    write, _ = files
+    square = write("tiny.pts", "0,0\n1e-170,0\n1e-170,1e-170\n0,1e-170\n")
+    assert run(["winding", square, "--point", point]) == code
+    cap = capsys.readouterr()
+    assert cap.out == out
+    if code:
+        one_coded_line(cap.err, "E_POINT_ON_CURVE")
 
 
 def test_winding_too_few_points(files, capsys):
@@ -284,13 +302,25 @@ def test_parse_ifs_rejects_non_finite_coefficients(files, capsys, bad):
     # no longer compare equal: only the last level is checked
     ("0.5 0 0 0.5 1e308 0", "0,0\n1,0\n", "3", "E_DEGENERATE_GEOMETRY"),
     ("0.5 0 0 0.5 1e308 0", "0,0\n1,0\n", "5", "E_RENDER_LIMIT"),
+    # copy 1 collapses slot 1 and copy 2 slot 0: the first segment in
+    # copy-major order is named, not the first in slot-major order
+    ("0.5 0 0 0.5 0 0\n0.5 0 0 0 0.25 0.75\n0 0 0 0.5 0.125 0.5", "0,0\n1,0\n1,1\n", "1",
+     "E_DEGENERATE_GEOMETRY: segment endpoints coincide at (0.75, 0.75)"),
+    # at level 4, copy 0's x overflows and copy 1's segments are collapsed:
+    # the degenerate segment is named before the overflow
+    ("0.5 0 0 0.5 1e308 0\n0.5 0 0 0 0 0", "0,0\n0,1\n0,2\n", "4",
+     "E_DEGENERATE_GEOMETRY: segment endpoints coincide at (1.75e+308, 0.0)"),
 ])
 def test_fractal_render_failure_is_one_coded_line(files, capsys, maps, seed, iters, code):
+    # code is the line's code, or the whole line
     write, tmp = files
     ifs, pts = write("maps.ifs", maps + "\n"), write("seg.pts", seed)
     argv = ["fractal-render", "--ifs", ifs, "--seed-file", pts, "--iters", iters]
     assert run(argv + ["--out", str(tmp / "o.svg")]) == 1
-    one_coded_line(capsys.readouterr().err, code)
+    err = capsys.readouterr().err
+    one_coded_line(err, code.split(":")[0])
+    if ":" in code:
+        assert err == code + "\n"
     assert not (tmp / "o.svg").exists()
 
 

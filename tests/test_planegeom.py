@@ -23,7 +23,6 @@ from surfclass.planegeom import (
     Polygon,
     Scene,
     Segment,
-    certify_convergence,
     contraction_ratio,
     hausdorff_distance,
     ifs_iterate,
@@ -32,8 +31,12 @@ from surfclass.planegeom import (
     snowflake,
     winding_number,
 )
+from surfclass.svg import render_svg
 
-from geomutil import hausdorff_brute, ifs_iterate_reference, snowflake_reference
+from geomutil import (
+    certify_convergence, hausdorff_brute, ifs_iterate_reference, render_svg_reference,
+    snowflake_reference,
+)
 
 
 def test_contraction_ratio_examples():
@@ -110,6 +113,37 @@ def test_ifs_iterate_matches_the_per_primitive_loop(maps, seed, n):
     system, scene = IFS(tuple(maps)), Scene(tuple(seed))
     assert _outcome(ifs_iterate, system, scene, n) == _outcome(
         ifs_iterate_reference, system, scene, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_general_maps | _singular_maps, min_size=1, max_size=3),
+    st.lists(_primitives, min_size=1, max_size=3),
+    st.integers(0, 4),
+)
+def test_render_svg_matches_the_per_primitive_writer(maps, seed, n):
+    system, scene = IFS(tuple(maps)), Scene(tuple(seed))
+
+    def flat(system, scene, n):
+        return render_svg(ifs_iterate(system, scene, n))
+
+    def reference(system, scene, n):
+        return render_svg_reference(ifs_iterate_reference(system, scene, n))
+
+    assert _outcome(flat, system, scene, n) == _outcome(reference, system, scene, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_primitives, min_size=0, max_size=6))
+def test_render_svg_of_a_hand_built_scene_matches_the_per_primitive_writer(prims):
+    scene = Scene(prims)
+    assert scene.primitives == tuple(prims)
+    if prims:
+        assert render_svg(scene) == render_svg_reference(scene)
+    else:
+        for render in (render_svg, render_svg_reference):
+            with pytest.raises(EmptySetError):
+                render(scene)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -277,6 +311,17 @@ def test_winding_outside_and_on_curve():
     assert winding_number(square, (0.5, 0.5)) == 1
     with pytest.raises(PointOnCurveError):
         winding_number(square, (0.5, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1.0, 1e150])
+def test_winding_of_a_square_at_any_scale(scale):
+    # below about 1e-154 a side's squared length underflows
+    square = ClosedCurve(((0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)))
+    assert winding_number(square, (0.5 * scale, 0.5 * scale)) == 1
+    assert winding_number(square, (2.0 * scale, 0.5 * scale)) == 0
+    for edge in ((0.5 * scale, 0.0), (scale, 0.3 * scale), (0.0, 0.0)):
+        with pytest.raises(PointOnCurveError):
+            winding_number(square, edge)
 
 
 def test_winding_invariances():
