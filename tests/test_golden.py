@@ -15,7 +15,9 @@ with them the ``spend`` calls of each ``normalize`` phase.
 
 The ``homology`` and ``validate`` files pin the refine -> homology path
 and the triangulation checks: the groups, counts and the violations
-list with its order.  A run that fails prints its stdout and then its
+list with its order.  Four small ``.cc`` inputs pin the ``homology``
+counts of the refinement's corner cases: a null face, a one-gon, an
+``x x'`` pair and two glued one-gons.  A run that fails prints its stdout and then its
 one ``E_<CODE>:`` line; the file holds both, in that order.
 
 SVG renders are pinned by their sha256: every preset at two ``--iters``,
@@ -129,6 +131,25 @@ def test_homology_json_of_cc_sample_matches_golden(sample, capsys):
     path = str(ROOT / "samples" / f"{sample}.cc")
     assert run(["homology", path, "--json"]) == 0
     assert capsys.readouterr().out == expected(f"{sample}.homology_json")
+
+
+# one input per special case of refinement: the null face is cut into
+# two one-gon lunes, a one-gon face is split twice, an ``x x'`` pair is
+# cancelled, and two one-gons glued along one edge make a sphere
+SMALL_CC = {
+    "null_face": "face A :\n",
+    "one_gon": "face A : a\n",
+    "cancelled": "face A : a b b' a'\n",
+    "lune": "face A : a\nface B : a'\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CC))
+def test_homology_json_of_small_cc_matches_golden(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.cc"
+    path.write_text(SMALL_CC[name], encoding="utf-8")
+    assert run(["homology", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == expected(f"{name}.homology_json")
 
 
 def test_homology_json_of_tri_sample_matches_golden(capsys):
