@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cellcomplex import CellComplex
 from .edgeword import EdgeSym, Word, format_word
-from .errors import BorderedNotSupportedError, InternalInvariantViolation
+from .errors import BorderedNotSupportedError, InfeasibleInvariantsError, InternalInvariantViolation
 from .intlinalg import FgAbelianGroup, IntMatrix, _column, group_format, smith_normal_form
 from .rewrite import TYPE_I, NormalForm, canonical_word, normal_form_from_invariants
 from .rewrite import normalize  # noqa: F401 - surfbench/spans.py wraps it here
@@ -142,6 +142,21 @@ def cellular_homology(words) -> tuple:
     snf = smith_normal_form(IntMatrix(len(index), len(words), d2))
     h1 = FgAbelianGroup(len(index) - nv + nc - len(snf), tuple(t for t in snf if t > 1))
     return FgAbelianGroup(nc, ()), h1, FgAbelianGroup(len(words) - len(snf), ())
+
+
+def certified_homology(K: CellComplex) -> tuple:
+    """(H0, H1, H2) of K's own cells, certified by what the counting pass's
+    triple predicts: Z, the H1 of its normal form, and H2 = Z exactly when
+    the surface is closed and orientable."""
+    key, got = K.invariant_report().key(), cellular_homology([w for _, w in K.faces])
+    try:
+        h1 = h1_from_normal_form(normal_form_from_invariants(*key))
+    except InfeasibleInvariantsError:  # no surface has the triple
+        h1 = None
+    if got != (FgAbelianGroup(1, ()), h1, FgAbelianGroup(int(key[0] and not key[1]), ())):
+        groups = ", ".join(map(group_format, got))
+        raise InternalInvariantViolation(f"counted invariants {key}, cellular homology {groups}")
+    return got
 
 
 def certified_key(words) -> tuple:

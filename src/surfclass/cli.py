@@ -18,8 +18,8 @@ import math
 import sys
 
 from . import fileio, svg
+from .classify import certified_homology, to_json_dict
 from .classify import classify as classify_surface
-from .classify import to_json_dict
 from .edgeword import format_word
 from .errors import (
     InternalInvariantViolation,
@@ -35,6 +35,7 @@ from .rewrite import normalize, scramble
 from .simplicial import (
     homology,
     refine_to_triangulation,
+    refined_counts,
     to_cell_complex,
     validate_bordered_surface,
     validate_closed_surface,
@@ -192,12 +193,16 @@ def cmd_normalize(args, out):
 
 
 def cmd_homology(args, out):
+    """A cell complex gets its certified cellular groups and the counts
+    of ``refine``'s triangulation, which is not built."""
     kind, obj = _load_surface(args.file)
     if kind == "cell":
+        h0, h1, h2 = certified_homology(obj)
+        nv, ne, nt = refined_counts(obj)
         print("note: refining cell complex to a triangulation", file=sys.stderr)
-        _, obj = refine_to_triangulation(obj)
-    h0, h1, h2 = homology(obj)
-    nv, ne, nt = obj.counts()
+    else:
+        h0, h1, h2 = homology(obj)
+        nv, ne, nt = obj.counts()
     payload = {
         "H0": group_format(h0),
         "H1": group_format(h1),
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("homology", help="homology groups (auto-refines cell complexes)")
+    p = sub.add_parser("homology", help="homology groups (cellular for cell complexes)")
     p.add_argument("file")
     common(p)
     p.set_defaults(func=cmd_homology)

@@ -3,7 +3,7 @@
 Cell complex (UTF-8): optional ``surface <name>`` header; one
 ``face <Name> : <word>`` per face in word syntax; ``#`` comments.
 
-Simplicial complex: one ``triangle v1 v2 v3`` per triangle.
+Simplicial complex: one ``triangle v1 v2 v3`` per triangle, each vertex set once.
 
 IFS: one map per line, six whitespace-separated finite decimals ``a b c d e f``.
 
@@ -55,7 +55,15 @@ def parse_simplicial(text: str) -> SimplicialComplex2:
         triangles.append(tuple(parts[1:]))
     if not triangles:
         raise FileFormatError("no triangles in input")
-    return build_simplicial(triangles)
+    K = build_simplicial(triangles)
+    if len(K.triangles) != len(triangles):  # some line repeats an earlier vertex set
+        first = {}
+        for lineno, line in _content_lines(text):
+            t = line.split()[1:]
+            n = first.setdefault(tuple(sorted(t)), lineno)
+            if n != lineno:
+                raise FileFormatError(f"line {lineno}: duplicate triangle {' '.join(t)} (line {n})")
+    return K
 
 
 def format_simplicial(K: SimplicialComplex2) -> str:

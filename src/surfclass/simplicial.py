@@ -14,7 +14,9 @@ vertex, then subdivide each triangle into four; the result is handed
 over as a simplicial complex with one vertex per vertex class.  Vertex
 ``v<i>`` is the i-th vertex class in canonical order, which sorts the
 classes by their first canonical member alone, so no class is
-canonicalized to number it.
+canonicalized to number it.  ``refined_counts`` gives the counts of
+that triangulation in closed form, without building it; ``homology``
+of a cell complex reports them next to its cellular groups.
 
 ``homology`` builds the boundary columns already in row order and runs
 one Smith reduction, of d2; H0 and rank d1 come from the connected
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 
-from .cellcomplex import CellComplex, build as build_complex
+from .cellcomplex import CellComplex, build as build_complex, count_invariants
 from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
 from .errors import DegenerateTriangleError, EdgeMultiplicityError, InternalInvariantViolation
 from .intlinalg import FgAbelianGroup, IntMatrix, smith_normal_form
@@ -300,14 +302,9 @@ def _bulk_star_faces(faces: dict, fresh) -> dict:
     """Cut every face into triangles around a central vertex."""
     out = {}
     for name, w in faces.items():
-        n = len(w)
-        if n < 2:
-            raise InternalInvariantViolation("face too short to star")
-        spokes = [next(fresh) for _ in range(n)]
-        for i in range(n):
-            prev = EdgeSym(spokes[i - 1], -1)
-            nxt = EdgeSym(spokes[i], 1)
-            out[f"{name}_t{i}"] = (prev, w[i], nxt)
+        spokes = [next(fresh) for _ in w]
+        for i, s in enumerate(w):
+            out[f"{name}_t{i}"] = (EdgeSym(spokes[i - 1], -1), s, EdgeSym(spokes[i], 1))
     return out
 
 
@@ -316,49 +313,45 @@ def _bulk_quadrisect(faces: dict, fresh) -> dict:
     faces = _bulk_split_all_edges(faces, fresh)
     out = {}
     for name, w in faces.items():
-        if len(w) != 6:
-            raise InternalInvariantViolation("expected hexagon after edge split")
         e = [next(fresh) for _ in range(3)]
         # corners (w1 w2 | e0), (w3 w4 | e1), (w5 w0 | e2), center (e2' e0' e1')
         out[f"{name}_c0"] = (w[1], w[2], EdgeSym(e[0], 1))
         out[f"{name}_c1"] = (w[3], w[4], EdgeSym(e[1], 1))
         out[f"{name}_c2"] = (w[5], w[0], EdgeSym(e[2], 1))
-        out[f"{name}_m"] = (
-            EdgeSym(e[2], -1),
-            EdgeSym(e[0], -1),
-            EdgeSym(e[1], -1),
-        )
+        out[f"{name}_m"] = (EdgeSym(e[2], -1), EdgeSym(e[0], -1), EdgeSym(e[1], -1))
     return out
 
 
-def _cancel_inverse_pairs(faces: dict) -> dict:
-    """Drop cyclically adjacent ``x x'`` pairs from every word.
-
-    Edge splitting cannot separate such a pair (the half-edges stay
-    adjacent), and starring one yields two triangles glued along two
-    edges whose subdivisions never become vertex-faithful; cancelling
-    first is an equivalence and removes the obstruction.
-    """
-    out = {}
-    for name, w in faces.items():
+def _cancelled_faces(K: CellComplex) -> tuple:
+    """(faces, fresh): K's faces with cyclically adjacent ``x x'`` pairs
+    cancelled (an equivalence; no subdivision separates them), a null
+    word, which only a one-face complex can reach, cut into two one-gon
+    lunes, and the unused edge names that follow."""
+    fresh = map("_g{}".format, count(fresh_start([*K.edges, *K.face_map])))
+    faces = {}
+    for name, w in K.faces:
         while (i := inverse_pair_at(w)) is not None:
             w = rotate(w, i)[2:]
-        out[name] = w
-    return out
+        faces[name] = w
+    if len(faces) == 1 and not w:
+        faces = dict(zip((name, f"{name}_l"), split_face(w, 0, next(fresh))))
+    return faces, fresh
 
 
-def _corner_triples(refined: CellComplex):
-    """Vertex triples of the refined faces, or None if a face meets one
-    vertex twice."""
-    order, sym_to_vertex = refined._vertex_order
-    names = [f"v{i}" for i in range(len(order))]
-    triangles = []
-    for _, w in refined.faces:
-        corners = tuple([names[sym_to_vertex[s]] for s in w])
-        if len(set(corners)) != 3:
-            return None
-        triangles.append(corners)
-    return triangles
+def refined_counts(K: CellComplex) -> tuple:
+    """(vertices, edges, triangles) of ``refine_to_triangulation(K)[1]``,
+    in closed form.  With V, E, F and L the vertex classes, edges, faces
+    and letters of ``_cancelled_faces``, splitting every edge gives
+    (V + E, 2E, 2L), twice if a face has one letter.  From those
+    (V', E', L'), the star adds F centres, L' spokes and L' triangles; the
+    quadrisection splits all E' + L' edges and adds 3 in each triangle:
+    V'' = V' + F + E' + L', E'' = 2(E' + L') + 3L', T = 4L'."""
+    words = list(_cancelled_faces(K)[0].values())
+    report = count_invariants(words)[0]
+    v, e, n = report.n0, report.n1, sum(map(len, words))
+    for _ in range(2 if min(map(len, words)) == 1 else 1):
+        v, e, n = v + e, 2 * e, 2 * n
+    return v + report.n2 + e + n, 2 * (e + n) + 3 * n, 4 * n
 
 
 def refine_to_triangulation(K: CellComplex):
@@ -366,50 +359,48 @@ def refine_to_triangulation(K: CellComplex):
 
     Returns (refined cell complex, simplicial complex).  The refined
     complex has triangle boundaries only; its vertex classes become the
-    simplicial vertices.  Adjacent ``x x'`` pairs are cancelled first
-    (an equivalence), since no amount of subdividing separates them.
+    simplicial vertices.  The words of ``_cancelled_faces`` have every
+    edge split, twice if a face has one letter; each face is starred
+    from a centre and each triangle quadrisected once.
+
+    That is faithful.  After the splits every face has at least 4
+    letters, and no two cyclically adjacent ones are on one edge (the
+    halves of a letter are two edges; halves of two letters on one edge
+    would be an ``x x'`` pair).  So each starred triangle (spoke',
+    letter, spoke) has three distinct edges, and no two share two: each
+    has one letter, and a spoke lies only in the triangles at two
+    adjacent positions of one face, whose other spokes and letters
+    differ.  A corner triangle of the quadrisection has an old vertex
+    and the midpoints of two distinct edges, the centre one the
+    midpoints of all three.  Two with one vertex set would have two
+    edges in two starred triangles, or meeting at two corners of one.
     """
     report = K.invariant_report()
-    faces = _cancel_inverse_pairs(dict(K.faces))
-    fresh = map("_g{}".format, count(fresh_start([*K.edges, *K.face_map])))
-    # a null-boundary face is first cut into two one-gon lunes
-    if len(faces) == 1 and not next(iter(faces.values())):
-        name, w = next(iter(faces.items()))
-        faces = dict(zip((name, f"{name}_l"), split_face(w, 0, next(fresh))))
-    faces = _bulk_split_all_edges(faces, fresh)
-    # one-gon faces become bigons whose stars are degenerate pillows;
-    # splitting once more makes every boundary at least a square
-    if any(len(w) < 3 for w in faces.values()):
+    faces, fresh = _cancelled_faces(K)
+    # a one-gon split once is a bigon, whose star is a degenerate pillow;
+    # splitting twice makes every boundary at least a square
+    for _ in range(2 if min(map(len, faces.values())) == 1 else 1):
         faces = _bulk_split_all_edges(faces, fresh)
-    faces = _bulk_star_faces(faces, fresh)
-    for _ in range(3):
-        faces = _bulk_quadrisect(faces, fresh)
-        refined = build_complex(faces, internal=True)
-        if refined.euler_characteristic() != report.euler:
-            raise InternalInvariantViolation(
-                "refinement changed the Euler characteristic"
-            )
-        triangles = _corner_triples(refined)
-        # faithful: three vertices per face, no two faces on the same three
-        if triangles is not None:
-            simp = build_simplicial(triangles)
-            if len(simp.triangles) == len(triangles):
-                break
-    else:
-        raise InternalInvariantViolation("refinement failed to become faithful")
-    check = (
-        validate_bordered_surface(simp)
-        if report.num_contours
-        else validate_closed_surface(simp)
-    )
+    faces = _bulk_quadrisect(_bulk_star_faces(faces, fresh), fresh)
+    refined = build_complex(faces, internal=True)
+    if refined.euler_characteristic() != report.euler:
+        raise InternalInvariantViolation("refinement changed the Euler characteristic")
+    order, sym_to_vertex = refined._vertex_order
+    names = [f"v{i}" for i in range(len(order))]
+    triangles = [tuple([names[sym_to_vertex[s]] for s in w]) for _, w in refined.faces]
+    # faithful: three vertices per face, no two faces on the same three
+    simp = build_simplicial(t for t in triangles if len(set(t)) == 3)
+    if len(simp.triangles) != len(triangles):
+        raise InternalInvariantViolation("refinement is not faithful")
+    check = (validate_bordered_surface if report.num_contours else validate_closed_surface)(simp)
     if not check.ok:
-        raise InternalInvariantViolation(
-            "refinement output fails surface validation: "
-            + "; ".join(check.violations[:3])
-        )
+        reasons = "; ".join(check.violations[:3])
+        raise InternalInvariantViolation(f"refinement output fails surface validation: {reasons}")
     nv, ne, nt = simp.counts()
     if nv - ne + nt != report.euler:
         raise InternalInvariantViolation("simplicial chi differs from cell chi")
+    if (nv, ne, nt) != refined_counts(K):
+        raise InternalInvariantViolation("refinement counts differ from their closed form")
     return refined, simp
 
 

@@ -1,14 +1,16 @@
 import dataclasses
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
-from surfclass import rewrite
+from surfclass import cli, rewrite, simplicial
 from surfclass.cellcomplex import CellComplex, build
 from surfclass.cli import run
 from surfclass.classify import (
     cellular_homology,
+    certified_homology,
     class_from_form,
     classify,
     connected_sum,
@@ -22,7 +24,7 @@ from surfclass.edgeword import format_word, parse_word
 from surfclass.errors import BorderedNotSupportedError, InfeasibleInvariantsError
 from surfclass.intlinalg import FgAbelianGroup, IntMatrix, cokernel
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, normalize, scramble
-from surfclass.simplicial import homology, refine_to_triangulation, to_cell_complex
+from surfclass.simplicial import homology, refine_to_triangulation, refined_counts, to_cell_complex
 
 classify_module = importlib.import_module("surfclass.classify")  # the package exports the function
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -206,11 +208,32 @@ def test_classify_agrees_with_normalize_on_tiny_words(word):
     assert classify(K).form == normalize(K).normal
 
 
-@pytest.mark.parametrize("form", [f for f in SMALL_FORMS if f.p <= 4], ids=str)
+def assert_refinement_agrees(K):
+    """The cellular groups and the closed-form counts of K, which ``homology``
+    reports for a cell complex, are those of its refinement."""
+    _, T = refine_to_triangulation(K)
+    assert cellular_homology([w for _, w in K.faces]) == homology(T)
+    assert certified_homology(K) == homology(T)
+    assert refined_counts(K) == T.counts()
+
+
+@pytest.mark.parametrize("form", SMALL_FORMS, ids=str)
 def test_cellular_homology_matches_refinement_homology(form):
-    K = scrambled(form)
-    words = [w for _, w in K.faces]
-    assert cellular_homology(words) == homology(refine_to_triangulation(K)[1])
+    assert_refinement_agrees(scrambled(form))
+    for seed in (1, 2):
+        assert_refinement_agrees(scramble(make_canonical(form), 7919 * seed + form.p, 40))
+
+
+# one-face words, and two one-gons glued into a sphere: null and one-letter
+# faces, x x' pairs that cancel, border edges, a sphere and a disk
+TINY_COMPLEXES = [{"A": word} for word in (
+    "", "a", "a a", "a a'", "a b", "a b c", "a b a' b'", "a b b' a'", "a b a b'", "a b a c",
+)] + [{"A": "a", "B": "a'"}]
+
+
+@pytest.mark.parametrize("faces", TINY_COMPLEXES, ids=lambda faces: " / ".join(faces.values()))
+def test_cellular_homology_matches_refinement_homology_on_tiny_complexes(faces):
+    assert_refinement_agrees(build(faces))
 
 
 def test_cellular_homology_counts_components():
@@ -230,17 +253,72 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation", MUTATIONS)
-@pytest.mark.parametrize("sample", ["torus.cc", "klein.cc", "mobius.cc", "bordered.cc"])
-def test_a_wrong_invariant_count_is_caught(mutation, sample, monkeypatch, capsys):
-    counted = CellComplex.invariant_report
-    mutate = MUTATIONS[mutation]
-    monkeypatch.setattr(CellComplex, "invariant_report", lambda K: mutate(counted(K)))
-    assert run(["classify", str(SAMPLES / sample)]) == 1
+CC_SAMPLES = ["torus.cc", "klein.cc", "mobius.cc", "bordered.cc"]
+
+
+def assert_one_internal_error(argv, capsys):
+    assert run(argv) == 1
     cap = capsys.readouterr()
     assert cap.out == ""
     lines = cap.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("E_INTERNAL: "), cap.err
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("sample", CC_SAMPLES)
+def test_a_wrong_invariant_count_is_caught(mutation, sample, monkeypatch, capsys):
+    counted = CellComplex.invariant_report
+    mutate = MUTATIONS[mutation]
+    monkeypatch.setattr(CellComplex, "invariant_report", lambda K: mutate(counted(K)))
+    assert_one_internal_error(["classify", str(SAMPLES / sample)], capsys)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("sample", CC_SAMPLES)
+def test_a_wrong_invariant_count_is_caught_by_homology(mutation, sample, monkeypatch, capsys):
+    counted = CellComplex.invariant_report
+    mutate = MUTATIONS[mutation]
+    monkeypatch.setattr(CellComplex, "invariant_report", lambda K: mutate(counted(K)))
+    assert_one_internal_error(["homology", str(SAMPLES / sample), "--json"], capsys)
+
+
+# wrong cellular groups: each changes one group and keeps the others
+WRONG_GROUPS = {
+    "H0 free of rank 2": lambda h0, h1, h2: (FgAbelianGroup(2, ()), h1, h2),
+    "H1 with one more generator": lambda h0, h1, h2: (
+        h0, FgAbelianGroup(h1.free_rank + 1, h1.torsion), h2),
+    "H1 torsion toggled": lambda h0, h1, h2: (
+        h0, FgAbelianGroup(h1.free_rank, () if h1.torsion else (3,)), h2),
+    "H2 toggled": lambda h0, h1, h2: (h0, h1, FgAbelianGroup(1 - h2.free_rank, ())),
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_GROUPS)
+@pytest.mark.parametrize("sample", CC_SAMPLES)
+def test_wrong_cellular_groups_are_caught_by_homology(wrong, sample, monkeypatch, capsys):
+    real = classify_module.cellular_homology
+    monkeypatch.setattr(
+        classify_module, "cellular_homology", lambda words: WRONG_GROUPS[wrong](*real(words))
+    )
+    assert_one_internal_error(["homology", str(SAMPLES / sample), "--json"], capsys)
+
+
+def test_homology_of_a_cell_complex_refines_nothing(tmp_path, monkeypatch, capsys):
+    K = make_canonical(NormalForm(TYPE_I, 64, 1))
+    counts = refine_to_triangulation(K)[1].counts()
+    path = tmp_path / "genus64.cc"
+    path.write_text("".join(f"face {n} : {format_word(w)}\n" for n, w in K.faces), "utf-8")
+
+    def refuse(*args):
+        raise AssertionError("homology of a .cc refined it or ran simplicial homology")
+
+    for owner in (cli, simplicial):
+        monkeypatch.setattr(owner, "refine_to_triangulation", refuse)
+        monkeypatch.setattr(owner, "homology", refuse)
+    assert run(["homology", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["H0"], payload["H1"], payload["H2"]) == ("Z", "Z^128", "0")
+    assert (payload["vertices"], payload["edges"], payload["triangles"]) == counts
 
 
 def test_a_homology_that_fits_no_surface_is_caught(monkeypatch, capsys):

@@ -117,6 +117,21 @@ def test_homology_cell_input_notice(files, capsys):
     assert payload["H1"] == "Z^2" and payload["H2"] == "Z"
 
 
+@pytest.mark.parametrize("verb", ["homology", "classify", "validate"])
+@pytest.mark.parametrize("text, err", [
+    ("triangle a b c\ntriangle a b c\n", "line 2: duplicate triangle a b c (line 1)"),
+    # two triangles glued along all three edges were read as one, a closed disk
+    ("triangle a b c\ntriangle c b a\n", "line 2: duplicate triangle c b a (line 1)"),
+    (TRI_FILE + "# again\ntriangle  d b   c\n", "line 6: duplicate triangle d b c (line 4)"),
+])
+def test_duplicate_triangle_is_a_format_error(files, capsys, verb, text, err):
+    write, _ = files
+    assert run([verb, write("dup.tri", text), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"E_FILE_FORMAT: {err}\n"
+
+
 def test_homology_simplicial_direct(files, capsys):
     write, _ = files
     code = run(["homology", write("tet.tri", TRI_FILE), "--json"])
