@@ -7,13 +7,14 @@ Simplicial complex: one ``triangle v1 v2 v3`` per triangle, each vertex set once
 
 IFS: one map per line, six whitespace-separated finite decimals ``a b c d e f``.
 
-Point sets / curves: one ``x,y`` pair per line.
+Point sets / curves: one ``x,y`` pair per line; ``#`` comments and blank lines.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 
 from .cellcomplex import CellComplex, build
 from .edgeword import NAME_RE, parse_word
@@ -101,6 +102,19 @@ def parse_ifs(text: str) -> IFS:
 
 
 def parse_points(text: str) -> list:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(filter(str.strip, lines))
+    # in bulk when every content line is one 'x,y' pair of finite floats
+    if set(map(str.count, lines, repeat(","))) == {1}:
+        try:
+            vs = list(map(float, ",".join(lines).split(",")))
+        except ValueError:
+            vs = [math.inf]
+        if all(map(math.isfinite, vs)):
+            return list(zip(vs[0::2], vs[1::2]))
+    # otherwise line by line, to name the first bad line
     pts = []
     for lineno, line in _content_lines(text):
         parts = line.split(",")

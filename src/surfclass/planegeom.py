@@ -176,62 +176,73 @@ def ifs_iterate(sys: IFS, scene: Scene, n: int) -> Scene:
     return _iterate(repeat(sys.maps, n), scene)
 
 
-def _scan(strip, px, py, gap, best, bound):
-    """Nearest distance from (px, py) to a strip's (y, x) points, walking
-    outward in y while hypot(gap, dy) < best; stops once within bound."""
+def _scan(strip, p, gap, best, near, bound):
+    """(distance, point) of the strip's (y, x) point nearest p = (py, px),
+    or (best, near) if none is nearer, walking outward in y while
+    hypot(gap, dy) < best; stops once within bound."""
     hypot = math.hypot
-    t = bisect_left(strip, (py, px))
+    py, px = p
+    t = bisect_left(strip, p)
     for walk in (range(t, len(strip)), range(t - 1, -1, -1)):
         for i in walk:
-            qy, qx = strip[i]
+            qy, qx = q = strip[i]
             if hypot(gap, py - qy) >= best:
                 break
             d = hypot(px - qx, py - qy)
             if d < best:
-                best = d
+                best, near = d, q
                 if best <= bound:
-                    return best
-    return best
+                    return best, near
+    return best, near
 
 
-def _directed_hausdorff(P, Q) -> float:
-    """max over p in P of min over q in Q of hypot(px - qx, py - qy).
+def _directed_hausdorff(P, P_yx, Q, Q_yx) -> float:
+    """max over p in P of min over q in Q of hypot(px - qx, py - qy), for
+    P and Q sorted by (x, y), and P_yx and Q_yx their points as (y, x).
 
     Q is cut by (x, y) rank into strips of about sqrt|Q| points, each
-    sorted by (y, x).  A query walks strips outward in x from the one its
-    (x, y) bisects into, and stops at the first point within the running
-    maximum, which cannot raise it (Taha & Hanbury, TPAMI 2015).  Every
-    bound is built from the same coordinate differences as the distances,
-    so the result equals a brute-force scan's.
+    sorted by (y, x), and P is split at the strips' heads.  Strip by strip,
+    P's points are taken in (y, x) order, each starting from its distance
+    to the previous query's nearest point.  A query walks strips outward in
+    x and stops within the running maximum, which it cannot raise (Taha &
+    Hanbury, TPAMI 2015).  Every bound is built from the same coordinate
+    differences as the distances, so the result equals a brute-force scan's.
     """
-    Q = sorted((x, y) for x, y in Q)
+    hypot = math.hypot
     size = math.isqrt(len(Q))
     cuts = range(0, len(Q), size)
-    strips = [sorted((y, x) for x, y in Q[i:i + size]) for i in cuts]
+    strips = [sorted(Q_yx[i:i + size]) for i in cuts]
     heads = [Q[i] for i in cuts]
     hi = [Q[min(i + size, len(Q)) - 1][0] for i in cuts]
+    ends = [0, *[bisect_left(P, head) for head in heads[1:]], len(P)]
     h = 0.0
-    for px, py in P:
-        home = max(bisect_left(heads, (px, py)) - 1, 0)
-        best = _scan(strips[home], px, py, 0.0, math.inf, h)
-        j = home - 1
-        while best > h and j >= 0 and px - hi[j] < best:
-            best = _scan(strips[j], px, py, px - hi[j], best, h)
-            j -= 1
-        j = home + 1
-        while best > h and j < len(strips) and heads[j][0] - px < best:
-            best = _scan(strips[j], px, py, heads[j][0] - px, best, h)
-            j += 1
-        h = max(h, best)
+    near = strips[0][0]
+    for home, (lo, up) in enumerate(zip(ends, ends[1:])):
+        for p in sorted(P_yx[lo:up]):
+            py, px = p
+            best = hypot(px - near[1], py - near[0])
+            if best <= h:
+                continue
+            best, near = _scan(strips[home], p, 0.0, best, near, h)
+            j = home - 1
+            while best > h and j >= 0 and px - hi[j] < best:
+                best, near = _scan(strips[j], p, px - hi[j], best, near, h)
+                j -= 1
+            j = home + 1
+            while best > h and j < len(strips) and heads[j][0] - px < best:
+                best, near = _scan(strips[j], p, heads[j][0] - px, best, near, h)
+                j += 1
+            h = max(h, best)
     return h
 
 
 def hausdorff_distance(A, B) -> float:
     """max-min distance both ways between nonempty finite point sets."""
-    A, B = list(A), list(B)
+    A, B = sorted(map(tuple, A)), sorted(map(tuple, B))
     if not A or not B:
         raise EmptySetError("Hausdorff distance needs nonempty sets")
-    return max(_directed_hausdorff(A, B), _directed_hausdorff(B, A))
+    A_yx, B_yx = [(y, x) for x, y in A], [(y, x) for x, y in B]
+    return max(_directed_hausdorff(A, A_yx, B, B_yx), _directed_hausdorff(B, B_yx, A, A_yx))
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +362,18 @@ def winding_number(curve: ClosedCurve, z0, residual_tol: float = 1e-6) -> int:
         elif y > maxy:
             maxy = y
     hypot = math.hypot
+    if not math.isfinite(hypot(max(maxx, x0) - min(minx, x0), max(maxy, y0) - min(miny, y0))):
+        # near the float maximum: quarter every coordinate (exact), so no difference overflows
+        pts = [(math.ldexp(x, -2), math.ldexp(y, -2)) for x, y in pts]
+        box = (x0, y0, minx, miny, maxx, maxy)
+        x0, y0, minx, miny, maxx, maxy = (math.ldexp(v, -2) for v in box)
     eps = 1e-9 * hypot(maxx - minx, maxy - miny)
     for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
         vx, vy = bx - ax, by - ay
         L2 = vx * vx + vy * vy
-        if L2 >= float_info.min:
+        if float_info.min <= L2 <= float_info.max:
             t = ((x0 - ax) * vx + (y0 - ay) * vy) / L2
-        else:  # the squared length underflows: scale by the longest side
+        else:  # the squared length under- or overflows: scale by the longest side
             s = max(abs(vx), abs(vy))
             ux, uy = vx / s, vy / s
             t = ((x0 - ax) / s * ux + (y0 - ay) / s * uy) / (ux * ux + uy * uy)

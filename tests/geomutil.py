@@ -7,11 +7,12 @@ time, sharing no iteration code with ``ifs_iterate``'s flat coordinate
 lists.  The SVG oracle writes one element per primitive, sharing no
 code with ``render_svg``'s writer, which reads the flat lists.
 ``certify_convergence`` checks the contraction theorem on point sets.
+``parse_points_reference`` reads a point file one line at a time.
 """
 
 import math
 
-from surfclass.errors import EmptySetError, NotContractingError
+from surfclass.errors import EmptySetError, FileFormatError, NotContractingError
 from surfclass.planegeom import (
     SQRT3, AffineMap2, Point, Polygon, Scene, Segment, hausdorff_distance, preset, preset_seed,
 )
@@ -27,6 +28,30 @@ def hausdorff_brute(A, B) -> float:
         return max(min(math.hypot(px - qx, py - qy) for qx, qy in Q) for px, py in P)
 
     return max(directed(A, B), directed(B, A))
+
+
+def parse_points_reference(text):
+    """The per-line point parser: each line loses its '#' comment and outer
+    whitespace, blank lines are skipped, and every other line must be one
+    'x,y' pair of finite floats; the first line that is not is named."""
+    pts = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FileFormatError(f"line {lineno}: expected 'x,y'")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise FileFormatError(f"line {lineno}: bad coordinate")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise FileFormatError(f"line {lineno}: non-finite coordinate")
+        pts.append((x, y))
+    if not pts:
+        raise FileFormatError("no points in input")
+    return pts
 
 
 def ifs_iterate_reference(sys, scene, n):

@@ -252,6 +252,18 @@ def test_winding_on_a_curve_whose_squared_sides_underflow(files, capsys, point, 
         one_coded_line(cap.err, "E_POINT_ON_CURVE")
 
 
+@pytest.mark.parametrize("point, out, code", [("0,0", "1\n", 0), ("1e308,0", "", 1)])
+def test_winding_on_a_curve_near_the_float_maximum(files, capsys, point, out, code):
+    # the square's span of 2e308 is not a finite float
+    write, _ = files
+    square = write("huge.pts", "-1e308,-1e308\n1e308,-1e308\n1e308,1e308\n-1e308,1e308\n")
+    assert run(["winding", square, "--point", point]) == code
+    cap = capsys.readouterr()
+    assert cap.out == out
+    if code:
+        one_coded_line(cap.err, "E_POINT_ON_CURVE")
+
+
 def test_winding_too_few_points(files, capsys):
     write, _ = files
     assert run(["winding", write("two.pts", "0,0\n1,0\n"), "--point", "0.5,0.5"]) == 1

@@ -193,6 +193,17 @@ def _line(vertical):
     )
 
 
+def _next(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+# 0 and 1 and their two float neighbours on each side, as x and as y:
+# a set drawn from these holds the other set's strip heads and the
+# floats just either side of them
+_ULPS = [_next(c, n) for c in (0.0, 1.0) for n in range(-2, 3)]
+
 LAYOUTS = st.one_of(
     st.lists(_lattice, min_size=1, max_size=40),
     _line(vertical=True),
@@ -206,6 +217,12 @@ LAYOUTS = st.one_of(
     _points.map(lambda ps: ps + [(1e6, 0.0)]),
     _point.map(lambda p: [p]),
     _points,
+    # near-vertical line: x spread 1e-9
+    st.lists(st.tuples(st.floats(0.0, 1e-9), _coord), min_size=1, max_size=40),
+    # L shape: a vertical and a horizontal arm through one corner
+    st.tuples(_coord, _coord, st.lists(st.tuples(st.booleans(), _coord), min_size=1, max_size=40))
+    .map(lambda c: [(c[0], t) if up else (t, c[1]) for up, t in c[2]]),
+    st.lists(st.tuples(st.sampled_from(_ULPS), st.sampled_from(_ULPS)), min_size=1, max_size=40),
 )
 
 
@@ -213,7 +230,8 @@ LAYOUTS = st.one_of(
 @given(LAYOUTS, LAYOUTS)
 def test_hausdorff_search_equals_brute(A, B):
     # lattice ties, vertical and horizontal lines, duplicates, two
-    # clusters 1,000 apart, one far outlier, one-point sets
+    # clusters 1,000 apart, one far outlier, one-point sets, a
+    # near-vertical line, an L, points on and one ulp off strip heads
     assert hausdorff_distance(A, B) == hausdorff_brute(A, B)
 
 
@@ -313,15 +331,32 @@ def test_winding_outside_and_on_curve():
         winding_number(square, (0.5, 0.0))
 
 
-@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1.0, 1e150])
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-155, 1.0, 1e150, 1e200, 1e307])
 def test_winding_of_a_square_at_any_scale(scale):
-    # below about 1e-154 a side's squared length underflows
+    # below about 1e-154 a side's squared length underflows, above about
+    # 1e154 it overflows
     square = ClosedCurve(((0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)))
     assert winding_number(square, (0.5 * scale, 0.5 * scale)) == 1
     assert winding_number(square, (2.0 * scale, 0.5 * scale)) == 0
     for edge in ((0.5 * scale, 0.0), (scale, 0.3 * scale), (0.0, 0.0)):
         with pytest.raises(PointOnCurveError):
             winding_number(square, edge)
+
+
+def test_winding_near_the_float_maximum():
+    # spans of 2e308 overflow unless every coordinate is scaled down first
+    m = 1e308
+    square = ClosedCurve(((-m, -m), (m, -m), (m, m), (-m, m)))
+    assert winding_number(square, (0.0, 0.0)) == 1
+    assert winding_number(square, (-0.9 * m, 0.5 * m)) == 1
+    assert winding_number(ClosedCurve(square.points[::-1]), (0.0, 0.0)) == -1
+    assert winding_number(square, (1.7e308, 0.0)) == 0
+    for edge in ((0.0, -m), (m, 0.3 * m), (-m, -m), (0.5 * m, m)):
+        with pytest.raises(PointOnCurveError):
+            winding_number(square, edge)
+    # a small curve near -1e308 and a point near +1e308
+    far = ClosedCurve(((-m, 0.0), (-0.9 * m, 0.0), (-0.9 * m, 1.0)))
+    assert winding_number(far, (m, 0.5)) == 0
 
 
 def test_winding_invariances():
