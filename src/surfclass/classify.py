@@ -88,17 +88,11 @@ def fundamental_group(form: NormalForm) -> Presentation:
     Closed surfaces give one relator; bordered surfaces give a free
     group (the last loop generator is eliminated via the relation).
     """
-    p, q = form.p, form.q
-    if form.kind == TYPE_I:
-        gens = []
-        for i in range(1, p + 1):
-            gens += [f"a{i}", f"b{i}"]
-    else:
-        gens = [f"a{i}" for i in range(1, p + 1)]
-    if q == 0:
-        return Presentation(tuple(gens), (canonical_word(form),))
-    gens += [f"d{j}" for j in range(1, q)]
-    return Presentation(tuple(gens), ())
+    closed = canonical_word(NormalForm(form.kind, form.p, 0))
+    gens = tuple(dict.fromkeys(s.name for s in closed))
+    if form.q == 0:
+        return Presentation(gens, (closed,))
+    return Presentation(gens + tuple(f"d{j}" for j in range(1, form.q)), ())
 
 
 def h1_from_normal_form(form: NormalForm) -> FgAbelianGroup:

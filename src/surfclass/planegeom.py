@@ -340,9 +340,10 @@ class ClosedCurve:
 
 
 MAX_BISECTIONS = 40
+RESIDUAL_TOL = 1e-6  # how far the angle sum, in turns, may be from an integer
 
 
-def winding_number(curve: ClosedCurve, z0, residual_tol: float = 1e-6) -> int:
+def winding_number(curve: ClosedCurve, z0) -> int:
     """Turns of the curve around z0 by angle summation.
 
     Segments are bisected until every quotient w = (next-z0)/(cur-z0)
@@ -403,7 +404,7 @@ def winding_number(curve: ClosedCurve, z0, residual_tol: float = 1e-6) -> int:
             stack.append((u, mid, depth + 1))
     turns = total / (2.0 * math.pi)
     nearest = round(turns)
-    if abs(turns - nearest) >= residual_tol:
+    if abs(turns - nearest) >= RESIDUAL_TOL:
         raise RefinementLimitError(
             f"angle sum {turns} is not close enough to an integer"
         )

@@ -243,7 +243,7 @@ def make_canonical(form: NormalForm) -> CellComplex:
     return build({"A": canonical_word(form)})
 
 
-# block patterns of a canonical word, each read at w[i] cyclically
+# the word phases' rule matchers, each read at w[i] cyclically
 
 
 def _is_crosscap(w: Word, i: int, border) -> bool:
@@ -270,54 +270,28 @@ def _is_loop(w: Word, i: int, border) -> bool:
     return w[(i + 1) % n].name in border and w[(i + 2) % n] == w[i].inv()
 
 
-def _parse_blocks(w: Word, border):
-    """Parse a word into (crosscaps, handles, loops) blocks.
-
-    Succeeds only for a clean run of non-loop blocks followed by a run
-    of loops; returns None otherwise.
-    """
-    crosscaps, handles, loops = [], [], []
-    i, n = 0, len(w)
-    while i < n:
-        if i + 1 < n and _is_crosscap(w, i, border):
-            if loops:
-                return None
-            crosscaps.append(w[i])
-            i += 2
-        elif i + 2 < n and _is_loop(w, i, border):
-            loops.append((w[i], w[i + 1]))
-            i += 3
-        elif i + 3 < n and _is_handle(w, i, border):
-            if loops:
-                return None
-            handles.append((w[i], w[i + 1]))
-            i += 4
-        else:
-            return None
-    return crosscaps, handles, loops
-
-
-def _read_canonical(w: Word, border):
-    """(rotated word, form, blocks) for the first rotation of w made of
-    cross-caps or handles followed by loops; None if there is none."""
+def _reads_as(w: Word, target: Word) -> bool:
+    """Whether some rotation of w reads exactly ``target`` under a one-to-one
+    renaming of edges, where each renaming may invert its edge."""
+    if len(w) != len(target):
+        return False
     for r in range(len(w) or 1):  # the empty word is its own one rotation
-        rot = rotate(w, r)
-        blocks = _parse_blocks(rot, border)
-        if blocks is None or (blocks[0] and blocks[1]):
-            continue
-        crosscaps, handles, loops = blocks
-        if crosscaps:
-            return rot, NormalForm(TYPE_II, len(crosscaps), len(loops)), blocks
-        return rot, NormalForm(TYPE_I, len(handles), len(loops)), blocks
-    return None
+        forward, back = {}, {}  # edge -> (target edge, sign); target edge -> edge
+        for s, t in zip(rotate(w, r), target):
+            to = (t.name, s.sign * t.sign)
+            if forward.setdefault(s.name, to) != to or back.setdefault(t.name, s.name) != s.name:
+                break
+        else:
+            return True
+    return False
 
 
 def is_canonical(K: CellComplex):
-    """NormalForm if K is one face matching a canonical pattern, else None."""
+    """K's NormalForm if K is one face that reads as its canonical word, else None."""
     if len(K.faces) != 1:
         return None
-    got = _read_canonical(K.faces[0][1], set(K.border_edges()))
-    return None if got is None else got[1]
+    form = normal_form_from_invariants(*K.invariant_report().key())
+    return form if _reads_as(K.faces[0][1], canonical_word(form)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -837,26 +811,13 @@ class _Rewriter:
     # -- final assembly --------------------------------------------------------
 
     def assemble(self) -> NormalizationResult:
-        """Relabel the blocks of the single face as a1 b1 ... c1 h1 c1' ..."""
+        """Relabel the single face as the canonical word of the predicted form."""
         name = self.single_name()
         w = self.faces[name]
-        got = _read_canonical(w, self.border_edges())
-        if got is None:
-            raise InternalInvariantViolation(
-                f"final word is not canonical: {format_word(w)}"
-            )
-        rot, form, (crosscaps, handles, loops) = got
-        new = {}
-        for i, s in enumerate(crosscaps, start=1):
-            new[s] = f"a{i}"
-        for i, (s, t) in enumerate(handles, start=1):
-            new[s], new[t] = f"a{i}", f"b{i}"
-        for j, (s, t) in enumerate(loops, start=1):
-            new[s], new[t] = f"c{j}", f"h{j}"
-        relabeled = tuple(
-            EdgeSym(new[s], 1) if s in new else EdgeSym(new[s.inv()], -1) for s in rot
-        )
-        self.mutate({name: relabeled}, "composite", "canonical_relabel", ())
+        form = normal_form_from_invariants(*self.expected)
+        if not _reads_as(w, canonical_word(form)):
+            raise InternalInvariantViolation(f"final word is not canonical: {format_word(w)}")
+        self.mutate({name: canonical_word(form)}, "composite", "canonical_relabel", ())
         return self.finish(form)
 
     def finish(self, form: NormalForm) -> NormalizationResult:

@@ -4,9 +4,10 @@ Complexes are pure: every vertex and edge is required to lie in some
 triangle (dangling pieces are user error for surface work).  Validators
 implement the combinatorial surface conditions: every edge in exactly
 two triangles (or one/two for bordered), a single cyclic or linear fan
-of triangles around each vertex, and connectivity.  Both read one
-link graph per vertex, keyed by neighbour: node u of v's graph is the
-edge (v, u), and each triangle (v, u, w) links u and w.
+of triangles around each vertex, and connectivity.  One pass over the
+link graphs, one per vertex and keyed by neighbour, checks both sets of
+conditions: node u of v's graph is the edge (v, u), and each triangle
+(v, u, w) links u and w.
 
 ``refine_to_triangulation`` converts any cell complex into a
 triangulated one: split every edge, star every face from a central
@@ -55,16 +56,6 @@ class SimplicialComplex2:
     # the validators' shared views, computed once per complex
 
     @cached_property
-    def edge_triangles(self) -> dict:
-        """Edge -> the triangles that contain it."""
-        out = {e: [] for e in self.edges}
-        for t in self.triangles:
-            a, b, c = t
-            for e in ((a, b), (a, c), (b, c)):
-                out[e].append(t)
-        return out
-
-    @cached_property
     def vertex_fans(self) -> dict:
         """For each vertex v, in vertex order: its link graph, as
         neighbour u -> the neighbours w such that (v, u, w) is a
@@ -86,6 +77,49 @@ class SimplicialComplex2:
     @property
     def is_connected(self) -> bool:
         return bool(self.triangles) and self.components == 1
+
+    @cached_property
+    def surface_reports(self) -> tuple:
+        """(closed, bordered): both ``ValidationReport``s, from one pass
+        over the edges and one over the vertex fans.
+
+        Edge (v, u) lies in one triangle exactly when u is an end of v's
+        link graph, so a vertex is on the border when its graph has an end,
+        and a path-shaped graph ends in two border edges."""
+        fans = self.vertex_fans
+        closed, bordered, border_edges = [], [], []
+        for a, b in self.edges:
+            n = len(fans[a][b])
+            if n != 2:
+                closed.append(f"D1: edge {(a, b)} lies in {n} triangles, expected 2")
+            if n == 1:
+                border_edges.append((a, b))
+            elif n != 2:
+                bordered.append(f"D1: edge {(a, b)} lies in {n} triangles")
+        for v, links in fans.items():
+            if not links:
+                closed.append(f"D2: vertex {v} has no incident edges")
+                bordered.append(f"D2: vertex {v} has no incident edges")
+                continue
+            shape = _fan_shape(links)
+            cycle = shape == "cycle" and len(links) >= 3
+            if not cycle:
+                closed.append(f"D2: vertex {v} fan is not a single cycle (m >= 3)")
+            if any(len(ws) == 1 for ws in links.values()):
+                if shape != "path":
+                    bordered.append(
+                        f"D3: border vertex {v} fan is not a single border-to-border path"
+                    )
+            elif not cycle:
+                bordered.append(f"D2: interior vertex {v} fan is not a single cycle")
+        if not self.is_connected:
+            closed.append("D3: complex is not connected")
+            bordered.append("D4: complex is not connected")
+        circles = _count_components(_graph((), border_edges))
+        return (
+            ValidationReport(ok=not closed, violations=tuple(closed)),
+            ValidationReport(ok=not bordered, violations=tuple(bordered), border_circles=circles),
+        )
 
 
 @dataclass(frozen=True)
@@ -176,21 +210,7 @@ def _fan_shape(links: dict) -> str:
 def validate_closed_surface(K: SimplicialComplex2) -> ValidationReport:
     """Conditions for a closed surface: edges in two triangles, cyclic
     fans with at least three triangles, connected."""
-    violations = []
-    fans = K.vertex_fans
-    for a, b in K.edges:
-        n = len(fans[a][b])
-        if n != 2:
-            violations.append(f"D1: edge {(a, b)} lies in {n} triangles, expected 2")
-    for v, links in fans.items():
-        if not links:
-            violations.append(f"D2: vertex {v} has no incident edges")
-            continue
-        if len(links) < 3 or _fan_shape(links) != "cycle":
-            violations.append(f"D2: vertex {v} fan is not a single cycle (m >= 3)")
-    if not K.is_connected:
-        violations.append("D3: complex is not connected")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return K.surface_reports[0]
 
 
 def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
@@ -200,39 +220,7 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
     The two ends of a border vertex's fan must be border *edges* (each
     contained in a single triangle); the interior of the fan alternates
     interior edges and triangles."""
-    violations = []
-    fans = K.vertex_fans
-    border_edges = set()
-    for a, b in K.edges:
-        n = len(fans[a][b])
-        if n == 1:
-            border_edges.add((a, b))
-        elif n != 2:
-            violations.append(f"D1: edge {(a, b)} lies in {n} triangles")
-    border_vertices = {v for e in border_edges for v in e}
-    for v, links in fans.items():
-        if not links:
-            violations.append(f"D2: vertex {v} has no incident edges")
-            continue
-        shape = _fan_shape(links)
-        if v in border_vertices:
-            ok = shape == "path" and all(
-                ((v, u) if v < u else (u, v)) in border_edges
-                for u, ws in links.items()
-                if len(ws) == 1
-            )
-            if not ok:
-                violations.append(
-                    f"D3: border vertex {v} fan is not a single border-to-border path"
-                )
-        elif shape != "cycle" or len(links) < 3:
-            violations.append(f"D2: interior vertex {v} fan is not a single cycle")
-    if not K.is_connected:
-        violations.append("D4: complex is not connected")
-    circles = _count_components(_graph((), border_edges))
-    return ValidationReport(
-        ok=not violations, violations=tuple(violations), border_circles=circles
-    )
+    return K.surface_reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +408,10 @@ def to_cell_complex(K: SimplicialComplex2) -> CellComplex:
     for T triangles.
     """
     edge_name = {e: f"e{i}" for i, e in enumerate(K.edges)}
-    for e, ts in K.edge_triangles.items():
-        if len(ts) > 2:
-            raise EdgeMultiplicityError(edge_name[e], len(ts))
+    fans = K.vertex_fans
+    for a, b in K.edges:
+        if len(fans[a][b]) > 2:
+            raise EdgeMultiplicityError(edge_name[(a, b)], len(fans[a][b]))
 
     def directed(a, b):
         if a < b:
@@ -440,13 +429,11 @@ def to_cell_complex(K: SimplicialComplex2) -> CellComplex:
         stack = [(c, a, root), (b, c, root), (a, b, root)]  # sides, next on top
         while stack:
             x, y, t = stack.pop()
-            e = (x, y) if x < y else (y, x)
-            nxt = next((u for u in K.edge_triangles[e] if u != t), None)
-            if nxt is None or nxt in visited:
+            z = next((u for u in fans[x][y] if u not in t), None)
+            if z is None or (nxt := tuple(sorted((x, y, z)))) in visited:
                 word.append(directed(x, y))
                 continue
             visited.add(nxt)
-            z = next(v for v in nxt if v != x and v != y)
             # nxt reads y x z: its sides x->z, z->y replace x->y
             stack += [(z, y, nxt), (x, z, nxt)]
         faces[f"T{len(faces)}"] = tuple(word)

@@ -9,6 +9,7 @@ from surfclass import cli, rewrite, simplicial
 from surfclass.cellcomplex import CellComplex, build
 from surfclass.cli import run
 from surfclass.classify import (
+    Presentation,
     cellular_homology,
     certified_homology,
     class_from_form,
@@ -23,7 +24,15 @@ from surfclass.classify import (
 from surfclass.edgeword import format_word, parse_word
 from surfclass.errors import BorderedNotSupportedError, InfeasibleInvariantsError
 from surfclass.intlinalg import FgAbelianGroup, IntMatrix, cokernel
-from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, normalize, scramble
+from surfclass.rewrite import (
+    TYPE_I,
+    TYPE_II,
+    NormalForm,
+    canonical_word,
+    make_canonical,
+    normalize,
+    scramble,
+)
 from surfclass.simplicial import homology, refine_to_triangulation, refined_counts, to_cell_complex
 
 classify_module = importlib.import_module("surfclass.classify")  # the package exports the function
@@ -107,6 +116,29 @@ def test_fundamental_group_bordered_is_free():
     assert len(pres.generators) == 2 * 1 + 2 - 1
     pres = fundamental_group(NormalForm(TYPE_I, 0, 2))
     assert len(pres.generators) == 1
+
+
+def hand_built_fundamental_group(form):
+    """The presentation with its generators listed by hand: a1 b1 a2 b2 ...
+    or a1 a2 ..., then d1 ... d(q-1) on a bordered surface."""
+    p, q = form.p, form.q
+    if form.kind == TYPE_I:
+        gens = []
+        for i in range(1, p + 1):
+            gens += [f"a{i}", f"b{i}"]
+    else:
+        gens = [f"a{i}" for i in range(1, p + 1)]
+    if q == 0:
+        return Presentation(tuple(gens), (canonical_word(form),))
+    gens += [f"d{j}" for j in range(1, q)]
+    return Presentation(tuple(gens), ())
+
+
+def test_fundamental_group_matches_hand_built_generators():
+    forms = [NormalForm(TYPE_I, p, q) for p in range(6) for q in range(4)]
+    forms += [NormalForm(TYPE_II, p, q) for p in range(1, 6) for q in range(4)]
+    for form in forms:
+        assert fundamental_group(form) == hand_built_fundamental_group(form), form
 
 
 def test_h1_examples():

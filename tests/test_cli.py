@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import surfclass
-from surfclass import cli
+from surfclass import cli, simplicial
 from surfclass.cli import run
 from surfclass.rewrite import NormalForm, make_canonical
 from surfclass.simplicial import build_simplicial, refine_to_triangulation, to_cell_complex
@@ -63,6 +63,25 @@ def test_validate_simplicial(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["closed_surface"] is True
     assert payload["triangles"] == 4
+
+
+MOBIUS_TRI = "".join(f"triangle {' '.join(t)}\n" for t in MOBIUS_BAND)
+
+
+@pytest.mark.parametrize("triangles", [TRI_FILE, MOBIUS_TRI], ids=["closed", "bordered"])
+def test_validate_walks_each_vertex_fan_once(files, capsys, monkeypatch, triangles):
+    write, _ = files
+    calls = []
+    fan_shape = simplicial._fan_shape
+
+    def counted(links):
+        calls.append(links)
+        return fan_shape(links)
+
+    monkeypatch.setattr(simplicial, "_fan_shape", counted)
+    assert run(["validate", write("surface.tri", triangles), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0 < len(calls) <= payload["vertices"]
 
 
 def test_usage_error_exit_2(files, capsys):

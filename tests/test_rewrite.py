@@ -6,6 +6,7 @@ from surfclass.cellcomplex import build
 from surfclass.edgeword import format_word, parse_word, sym
 from surfclass.errors import (
     BadPositionError,
+    InternalInvariantViolation,
     NameCollisionError,
     NotContractibleError,
     NotMergeableError,
@@ -27,7 +28,7 @@ from surfclass.rewrite import (
     replay_trace,
     scramble,
 )
-from wordutil import cyclic_equal
+from wordutil import _read_canonical, cyclic_equal, one_face_words
 
 TORUS = {"A": "a b a' b'"}
 
@@ -181,6 +182,21 @@ def test_is_canonical_examples():
     )
     # rotated and renamed variants still parse
     assert is_canonical(build({"A": "b' x b x'"})) == NormalForm(TYPE_I, 1, 0)
+
+
+def test_is_canonical_agrees_with_the_block_reader_on_every_small_word():
+    words = one_face_words(7, 4)
+    assert len(words) == 18283
+    for w in words:
+        K = build({"A": w})
+        got = _read_canonical(w, set(K.border_edges()))
+        assert is_canonical(K) == (got and got[1]), format_word(w)
+
+
+def test_assemble_rejects_a_word_that_does_not_read_canonically():
+    rw = _Rewriter(build({"A": "a b a b'"}))
+    with pytest.raises(InternalInvariantViolation, match="final word is not canonical: a b a b'"):
+        rw.assemble()
 
 
 def test_scramble_identity_and_determinism():

@@ -14,6 +14,8 @@ from surfclass.errors import (
 from surfclass.intlinalg import FgAbelianGroup, cokernel
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical, scramble
 from surfclass.simplicial import (
+    SimplicialComplex2,
+    ValidationReport,
     boundary_matrices,
     build_simplicial,
     homology,
@@ -81,6 +83,30 @@ def test_validate_bordered():
     pinch = build_simplicial([("a", "b", "c"), ("a", "d", "e")])
     rep = validate_bordered_surface(pinch)
     assert not rep.ok and any("D3" in v for v in rep.violations)
+
+
+def test_reports_name_a_vertex_with_no_incident_edges():
+    # build_simplicial derives the vertices from the triangles; built
+    # directly, a complex can list a vertex that no triangle has
+    K = SimplicialComplex2(("a", "b", "c", "d"), (("a", "b", "c"),))
+    assert validate_closed_surface(K) == ValidationReport(
+        ok=False,
+        violations=(
+            "D1: edge ('a', 'b') lies in 1 triangles, expected 2",
+            "D1: edge ('a', 'c') lies in 1 triangles, expected 2",
+            "D1: edge ('b', 'c') lies in 1 triangles, expected 2",
+            "D2: vertex a fan is not a single cycle (m >= 3)",
+            "D2: vertex b fan is not a single cycle (m >= 3)",
+            "D2: vertex c fan is not a single cycle (m >= 3)",
+            "D2: vertex d has no incident edges",
+            "D3: complex is not connected",
+        ),
+    )
+    assert validate_bordered_surface(K) == ValidationReport(
+        ok=False,
+        violations=("D2: vertex d has no incident edges", "D4: complex is not connected"),
+        border_circles=1,
+    )
 
 
 def test_validators_count_components(figure_triangulations):

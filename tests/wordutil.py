@@ -1,6 +1,7 @@
 """Cyclic-word helpers used only as test oracles."""
 
-from surfclass.edgeword import rotate, sym_key
+from surfclass.edgeword import EdgeSym, Word, rotate, sym_key
+from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, _is_crosscap, _is_handle, _is_loop
 
 
 def rotations(w):
@@ -27,3 +28,77 @@ def word_key(w):
 def brute_least_rotation(*seqs):
     """Least rotation over every given traversal, by trying them all."""
     return min((r for seq in seqs for r in rotations(tuple(seq))), key=word_key)
+
+
+# the block grammar that read canonical words before they were read by
+# renaming them onto ``canonical_word``; kept as the reference reader
+
+
+def _parse_blocks(w: Word, border):
+    """Parse a word into (crosscaps, handles, loops) blocks.
+
+    Succeeds only for a clean run of non-loop blocks followed by a run
+    of loops; returns None otherwise.
+    """
+    crosscaps, handles, loops = [], [], []
+    i, n = 0, len(w)
+    while i < n:
+        if i + 1 < n and _is_crosscap(w, i, border):
+            if loops:
+                return None
+            crosscaps.append(w[i])
+            i += 2
+        elif i + 2 < n and _is_loop(w, i, border):
+            loops.append((w[i], w[i + 1]))
+            i += 3
+        elif i + 3 < n and _is_handle(w, i, border):
+            if loops:
+                return None
+            handles.append((w[i], w[i + 1]))
+            i += 4
+        else:
+            return None
+    return crosscaps, handles, loops
+
+
+def _read_canonical(w: Word, border):
+    """(rotated word, form, blocks) for the first rotation of w made of
+    cross-caps or handles followed by loops; None if there is none."""
+    for r in range(len(w) or 1):  # the empty word is its own one rotation
+        rot = rotate(w, r)
+        blocks = _parse_blocks(rot, border)
+        if blocks is None or (blocks[0] and blocks[1]):
+            continue
+        crosscaps, handles, loops = blocks
+        if crosscaps:
+            return rot, NormalForm(TYPE_II, len(crosscaps), len(loops)), blocks
+        return rot, NormalForm(TYPE_I, len(handles), len(loops)), blocks
+    return None
+
+
+def one_face_words(max_letters, max_edges):
+    """Every one-face word of at most ``max_letters`` letters over at most
+    ``max_edges`` edges, each on at most two letters, up to renaming:
+    edge k is named e<k> in order of first appearance, with either sign."""
+    out = []
+
+    def grow(w, uses):
+        out.append(tuple(w))
+        if len(w) == max_letters:
+            return
+        for k in range(min(len(uses) + 1, max_edges)):
+            if k < len(uses) and uses[k] == 2:
+                continue
+            for sign in (1, -1):
+                w.append(EdgeSym(f"e{k}", sign))
+                if k == len(uses):
+                    uses.append(0)
+                uses[k] += 1
+                grow(w, uses)
+                uses[k] -= 1
+                if not uses[k]:
+                    uses.pop()
+                w.pop()
+
+    grow([], [])
+    return out
