@@ -10,22 +10,23 @@ matrices of complexes have two or three nonzeros per column, so products
 and reductions cost time in proportion to the nonzeros, not to
 rows x cols.  The dense row-major ``entries`` are built only on request.
 
-The Smith reduction follows the sparse unit-pivot elimination of Dumas,
-Heckenbach, Saunders & Welker (2003).  It reduces the rows or the
-columns, whichever are more numerous, since those lines are the sparser
-ones (two nonzeros each in a boundary matrix).  A queue holds the lines
+The Smith reduction is the sparse elimination of Dumas, Heckenbach,
+Saunders & Welker (2003).  It reduces the rows or the columns,
+whichever are more numerous, since those lines are the sparser ones
+(two nonzeros each in a boundary matrix).  A queue holds the lines
 that may have a +-1 entry: every line at the start, and again each
 line an elimination changes, so no pivot search rescans the matrix.
-A unit pivot never grows entries; of a line's unit entries, the one
-whose position the fewest other lines share is taken, which keeps each
-elimination step small.  What is left when the queue runs dry is a
-small residue that classical gcd pivoting (``_snf_dense``) finishes.
+Of a line's unit entries, the one whose position the fewest other
+lines share is taken, which keeps each elimination step small.  Unit
+pivots can still grow the other entries; once the queue runs dry, the
+same elimination pivots on the least entry left.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import DimensionMismatchError
 
@@ -161,8 +162,16 @@ def group_format(G: FgAbelianGroup) -> str:
     return " (+) ".join(parts) if parts else "0"
 
 
-def _snf_diagonal(M: IntMatrix) -> list:
-    """Diagonal invariant factors d1 | d2 | ... | dr of M."""
+def smith_normal_form(M: IntMatrix) -> tuple:
+    """Invariant factors d1 | d2 | ... | dr with r = rank(M).
+
+    A pivot's line and position leave the matrix once no other line
+    holds the position and the pivot divides its line.  Until then a
+    non-unit pivot, the least entry left, leaves remainders smaller
+    than itself.  So each step that is not skipped either removes a
+    line, or keeps the same lines with a smaller least ``|entry|``, and
+    the reduction ends.
+    """
     # M and its transpose have the same invariant factors, so eliminate
     # along whichever side has more lines: each line is then sparser
     if M.cols >= M.rows:
@@ -178,23 +187,28 @@ def _snf_diagonal(M: IntMatrix) -> list:
             cross.setdefault(p, set()).add(i)
     queue = deque(lines)  # lines that may hold a unit entry
     factors = []
-    while queue:
-        i = queue.popleft()
-        line = lines.get(i)
-        if line is None:
-            continue
-        units = [p for p, v in line.items() if v == 1 or v == -1]
-        if not units:
-            continue
-        # a unit pivot never grows entries; its shortest cross line is
-        # the fewest lines to update
-        p = min(units, key=lambda q: len(cross[q]))
+    while lines:
+        if queue:
+            i = queue.popleft()
+            line = lines.get(i)
+            if line is None:
+                continue
+            units = [p for p, v in line.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            # of the unit entries, the one whose position the fewest other
+            # lines share needs the fewest lines updated
+            p = min(units, key=lambda q: len(cross[q]))
+        else:
+            # every line that changed was queued, so no unit is left
+            _, i, p = min((abs(v), i, p) for i, line in lines.items() for p, v in line.items())
+            line = lines[i]
         pv = line[p]
         for k in tuple(cross[p]):
             if k == i:
                 continue
             other = lines[k]
-            mult = other[p] * pv  # other -= mult * line cancels position p
+            mult = other[p] // pv  # other -= mult * line leaves other[p] % pv
             for q, v in line.items():
                 w = other.get(q, 0) - mult * v
                 if w:
@@ -208,94 +222,32 @@ def _snf_diagonal(M: IntMatrix) -> list:
                 queue.append(k)
             else:
                 del lines[k]
-        # the pivot line and position leave the matrix; factor 1 recorded
+        if pv != 1 and pv != -1:
+            if len(cross[p]) > 1:
+                continue  # other lines hold remainders smaller than |pv| at p
+            rest = [q for q, v in line.items() if v % pv]
+            if rest:
+                # column p holds only pv, so reducing the other positions
+                # mod pv by column operations changes this line alone
+                for q in rest:
+                    line[q] %= pv
+                queue.append(i)
+                continue
+        # the pivot line and position leave the matrix
         del cross[p]
         for q in line:
             if q != p:
                 cross[q].discard(i)
         del lines[i]
-        factors.append(1)
+        factors.append(abs(pv))
 
-    # dense residue (tiny in practice)
-    if lines:
-        live = sorted(lines)
-        positions = sorted({p for i in live for p in lines[i]})
-        index = {p: n for n, p in enumerate(positions)}
-        dense = [[0] * len(positions) for _ in live]
-        for row, i in zip(dense, live):
-            for p, v in lines[i].items():
-                row[index[p]] = v
-        factors.extend(_snf_dense(dense))
-
-    factors.sort()
-    return factors
-
-
-def _snf_dense(a: list) -> list:
-    """Classical Smith reduction by gcd pivoting on a small dense matrix."""
-    nr, nc = len(a), len(a[0]) if a else 0
-    out = []
-    k = 0
-    while k < min(nr, nc):
-        # smallest-absolute-value nonzero entry in the submatrix
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        a[k], a[i] = a[i], a[k]
-        for row in a:
-            row[k], row[j] = row[j], row[k]
-        while True:
-            # clear column k
-            again = False
-            for i in range(k + 1, nr):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    for j in range(k, nc):
-                        a[i][j] -= q * a[k][j]
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        again = True
-            if again:
-                continue
-            # clear row k
-            for j in range(k + 1, nc):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    for i in range(k, nr):
-                        a[i][j] -= q * a[i][k]
-                    if a[k][j]:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        again = True
-            if not again:
-                break
-        # divisibility: fold in any entry the pivot does not divide
-        fixed = True
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if a[i][j] % a[k][k] != 0:
-                    for jj in range(k, nc):
-                        a[k][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        out.append(abs(a[k][k]))
-        k += 1
-    out.sort()
-    return out
-
-
-def smith_normal_form(M: IntMatrix) -> tuple:
-    """Invariant factors d1 | d2 | ... | dr with r = rank(M)."""
-    return tuple(_snf_diagonal(M))
+    # Z/a (+) Z/b = Z/gcd(a, b) (+) Z/lcm(a, b) turns the factors into a chain
+    chain = sorted(f for f in factors if f > 1)
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] * chain[b] // g
+    return (1,) * (len(factors) - len(chain)) + tuple(chain)
 
 
 def rank(M: IntMatrix) -> int:

@@ -1,7 +1,8 @@
 """Independent integer-matrix oracles for the tests: invariant factors
-by gcd of minors, and rank over Q by exact Gaussian elimination.
+by gcd of minors, and rank over Q, rank over GF(p) and the determinant
+by exact Gaussian elimination.
 
-Both read the dense rows of an ``IntMatrix`` and share no code with
+Each reads the dense rows of an ``IntMatrix`` and shares no code with
 ``surfclass.intlinalg``'s sparse Smith reduction.
 """
 
@@ -68,3 +69,42 @@ def rational_rank(M: IntMatrix) -> int:
         if r == nr:
             break
     return r
+
+
+def rank_mod_p(M: IntMatrix, p: int) -> int:
+    """Rank over GF(p), p prime, by Gaussian elimination modulo p."""
+    a = [[x % p for x in row] for row in dense_rows(M)]
+    r = 0
+    for c in range(M.cols):
+        piv = next((i for i in range(r, M.rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        for i in range(M.rows):
+            if i != r and a[i][c]:
+                f = a[i][c] * inv % p
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == M.rows:
+            break
+    return r
+
+
+def determinant(M: IntMatrix) -> int:
+    """Determinant of a square M by Gaussian elimination with exact fractions."""
+    a = [[Fraction(x) for x in row] for row in dense_rows(M)]
+    det = Fraction(1)
+    for c in range(M.cols):
+        piv = next((i for i in range(c, M.rows) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, M.rows):
+            if a[i][c]:
+                f = a[i][c] / a[c][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return int(det)

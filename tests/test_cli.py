@@ -1,8 +1,10 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -157,6 +159,22 @@ def test_homology_simplicial_direct(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert (payload["H0"], payload["H1"], payload["H2"]) == ("Z", "0", "Z")
+
+
+def test_homology_of_a_random_2_complex(files, capsys):
+    # a Linial-Meshulam random 2-complex: unit pivots on its +-1 d2 leave
+    # 21 x 24 entries up to 18,553, which the least-entry pivots finish
+    write, _ = files
+    rng = random.Random(2)
+    triangles = [t for t in combinations(range(40), 3) if rng.random() < 2.8 / 40]
+    text = "".join(f"triangle v{a} v{b} v{c}\n" for a, b, c in triangles)
+    code = run(["homology", write("lm40.tri", text), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload == {
+        "H0": "Z", "H1": "Z^17", "H2": "Z^20", "euler": 4,
+        "vertices": 40, "edges": 730, "triangles": 694,
+    }
 
 
 def test_refine_output_parses(files, capsys):

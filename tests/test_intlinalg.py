@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from surfclass.intlinalg import (
     smith_normal_form,
 )
 
-from matrixutil import dense_rows, minor_gcd_invariants, rational_rank
+from matrixutil import determinant, dense_rows, minor_gcd_invariants, rank_mod_p, rational_rank
 
 
 def M(rows):
@@ -153,8 +154,50 @@ def test_sparse_storage_rejects_malformed_columns():
 @given(st.integers(1, 6), st.integers(1, 7), st.data())
 def test_unit_pivot_queue_matches_minor_gcd_oracle(r, c, data):
     # mostly zeros and units, so the queue does most of the reduction
-    # and its fill-in decides what the dense residue sees
+    # and its fill-in decides what the least-entry pivots see
     rows = dense_matrix(data, r, c, st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -2, 3]))
     m = M(rows)
     assert smith_normal_form(m) == minor_gcd_invariants(m)
     assert rank(m) == rational_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_non_unit_pivots_match_minor_gcd_oracle(r, c, data):
+    # no unit in the input, so every pivot is a least entry
+    values = st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9])
+    m = M(dense_matrix(data, r, c, values))
+    assert smith_normal_form(m) == minor_gcd_invariants(m)
+
+
+@pytest.mark.parametrize(
+    "rows, factors",
+    [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[6, 10, 15]], (1,)),
+        ([[2, 3], [3, 2]], (1, 5)),
+        ([[4, 6], [6, 9]], (1,)),
+    ],
+)
+def test_non_unit_pivot_examples(rows, factors):
+    assert smith_normal_form(M(rows)) == factors
+
+
+def test_non_unit_pivots_on_a_sparse_26x26_match_oracles():
+    # three non-unit entries per row, checked against oracles that share
+    # no code with the reduction: rank over Q and GF(p), and |det|
+    rng = random.Random(21)
+    rows = []
+    for _ in range(26):
+        row = [0] * 26
+        for c in rng.sample(range(26), 3):
+            row[c] = rng.choice((2, -2, 3, 4, 6, -9))
+        rows.append(row)
+    m = M(rows)
+    f = smith_normal_form(m)
+    assert len(f) == rational_rank(m) == 26
+    for p in (2, 3, 5, 7):
+        assert rank_mod_p(m, p) == sum(1 for t in f if t % p)
+    assert prod(f) == abs(determinant(m))
+    for a, b in zip(f, f[1:]):
+        assert b % a == 0
