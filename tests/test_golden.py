@@ -17,8 +17,12 @@ The ``homology`` and ``validate`` files pin the refine -> homology path
 and the triangulation checks: the groups, counts and the violations
 list with its order.  Four small ``.cc`` inputs pin the ``homology``
 counts of the refinement's corner cases: a null face, a one-gon, an
-``x x'`` pair and two glued one-gons.  A run that fails prints its stdout and then its
-one ``E_<CODE>:`` line; the file holds both, in that order.
+``x x'`` pair and two glued one-gons.  Four ``.tri`` inputs that are
+not surfaces pin ``homology`` of an edge in three triangles, a pinch,
+two components and a Möbius band with a fin, and the refined Möbius band
+pins ``homology`` and ``classify`` of a bordered triangulation.  A run
+that fails prints its stdout and then its one ``E_<CODE>:`` line; the
+file holds both, in that order.
 
 SVG renders are pinned by their sha256: every preset at two ``--iters``,
 a custom IFS on a one-point seed (circles) and on a polyline seed, and
@@ -165,11 +169,39 @@ def test_validate_json_of_refined_sample_matches_golden(sample, tmp_path, capsys
     assert run_out(["validate", tri, "--json"], capsys) == expected(f"{sample}.refined_validate_json")
 
 
+def write_tri(path, triangles):
+    path.write_text("".join(f"triangle {a} {b} {c}\n" for a, b, c in triangles), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("name, triangles", [("pinched", PINCHED_TRI), ("fin", FIN_TRI)])
 def test_validate_json_of_non_surface_matches_golden(name, triangles, tmp_path, capsys):
-    tri = tmp_path / f"{name}.tri"
-    tri.write_text("".join(f"triangle {a} {b} {c}\n" for a, b, c in triangles), encoding="utf-8")
-    assert run_out(["validate", str(tri), "--json"], capsys) == expected(f"{name}.validate_json")
+    tri = write_tri(tmp_path / f"{name}.tri", triangles)
+    assert run_out(["validate", tri, "--json"], capsys) == expected(f"{name}.validate_json")
+
+
+MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
+# 2-complexes that are not surfaces, where the triangles' dual graph
+# splits into several trees or stops at an edge in three triangles
+NON_SURFACE_TRI = {
+    "three_on_edge": [("a", "b", "c"), ("a", "b", "d"), ("a", "b", "x")],
+    "bowtie": [("a", "b", "c"), ("a", "d", "e")],
+    "two_components": FIN_TRI[:4] + MOBIUS_BAND,
+    "mobius_fin": MOBIUS_BAND + [("m0", "m1", "x")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SURFACE_TRI))
+def test_homology_json_of_non_surface_matches_golden(name, tmp_path, capsys):
+    tri = write_tri(tmp_path / f"{name}.tri", NON_SURFACE_TRI[name])
+    assert run_out(["homology", tri, "--json"], capsys) == expected(f"{name}.homology_json")
+
+
+@pytest.mark.parametrize("verb", ("classify", "homology"))
+def test_json_of_refined_mobius_matches_golden(verb, tmp_path, capsys):
+    tri = str(tmp_path / "mobius.tri")
+    assert run(["refine", str(ROOT / "samples" / "mobius.cc"), "--out", tri]) == 0
+    assert run_out([verb, tri, "--json"], capsys) == expected(f"mobius.refined_{verb}_json")
 
 
 PRESET_RENDERS = {
