@@ -48,16 +48,20 @@ def parse_cell_complex(text: str) -> CellComplex:
 
 
 def parse_simplicial(text: str) -> SimplicialComplex2:
-    triangles = []
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] != "triangle" or len(parts) != 4:
-            raise FileFormatError(f"line {lineno}: expected 'triangle v1 v2 v3'")
-        triangles.append(tuple(parts[1:]))
-    if not triangles:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = list(filter(None, map(str.split, lines)))
+    # read in bulk; line by line only to name the first bad line
+    if set(map(len, rows)) != {4} or {row[0] for row in rows} != {"triangle"}:
+        for lineno, line in _content_lines(text):
+            parts = line.split()
+            if parts[0] != "triangle" or len(parts) != 4:
+                raise FileFormatError(f"line {lineno}: expected 'triangle v1 v2 v3'")
+    if not rows:
         raise FileFormatError("no triangles in input")
-    K = build_simplicial(triangles)
-    if len(K.triangles) != len(triangles):  # some line repeats an earlier vertex set
+    K = build_simplicial(row[1:] for row in rows)
+    if len(K.triangles) != len(rows):  # some line repeats an earlier vertex set
         first = {}
         for lineno, line in _content_lines(text):
             t = line.split()[1:]

@@ -19,9 +19,9 @@ canonicalized to number it.  ``refined_counts`` gives the counts of
 that triangulation in closed form, without building it; ``homology``
 of a cell complex reports them next to its cellular groups.
 
-``homology`` builds the boundary columns already in row order and runs
-one Smith reduction, of d2; H0 and rank d1 come from the connected
-components.
+``to_cell_complex`` and ``homology`` share one walk that glues each tree
+of the dual graph into a polygon; ``homology`` Smith-reduces one d2
+column per tree, and H0 and rank d1 come from the connected components.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import count
 from .cellcomplex import CellComplex, build as build_complex, count_invariants
 from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
 from .errors import DegenerateTriangleError, EdgeMultiplicityError, InternalInvariantViolation
-from .intlinalg import FgAbelianGroup, IntMatrix, smith_normal_form
+from .intlinalg import FgAbelianGroup, IntMatrix, _column, smith_normal_form
 from .intlinalg import cokernel, rank  # noqa: F401 - surfbench/spans.py wraps both here
 
 
@@ -141,13 +141,12 @@ class ChainComplexData:
 def build_simplicial(triangles) -> SimplicialComplex2:
     """Build from vertex triples; derives the edge/vertex closure."""
     tris = set()
-    verts = set()
     for t in triangles:
-        t = tuple(t)
-        if len(set(t)) != 3:
-            raise DegenerateTriangleError(f"triangle {t} needs 3 distinct vertices")
-        tris.add(tuple(sorted(str(v) for v in t)))
-        verts.update(str(v) for v in t)
+        s = sorted(map(str, t))
+        if len(s) != 3 or s[0] == s[1] or s[1] == s[2]:
+            raise DegenerateTriangleError(f"triangle {tuple(t)} needs 3 distinct vertices")
+        tris.add(tuple(s))
+    verts = {v for t in tris for v in t}
     return SimplicialComplex2(tuple(sorted(verts)), tuple(sorted(tris)))
 
 
@@ -227,6 +226,15 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
 # chain complex and homology
 
 
+def _d1(K: SimplicialComplex2) -> IntMatrix:
+    v_index = {v: i for i, v in enumerate(K.vertices)}
+    return IntMatrix(
+        len(K.vertices),
+        len(K.edges),
+        tuple(((v_index[a], -1), (v_index[b], 1)) for a, b in K.edges),
+    )
+
+
 def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     """Boundary operators with ascending-name reference orientations.
 
@@ -236,13 +244,8 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     (a, b) < (a, c) < (b, c) have ascending rows: each column is built
     in the order ``IntMatrix`` requires (and checks).
     """
-    v_index = {v: i for i, v in enumerate(K.vertices)}
     e_index = {e: i for i, e in enumerate(K.edges)}
-    d1 = IntMatrix(
-        len(K.vertices),
-        len(K.edges),
-        tuple(((v_index[a], -1), (v_index[b], 1)) for a, b in K.edges),
-    )
+    d1 = _d1(K)
     d2 = IntMatrix(
         len(K.edges),
         len(K.triangles),
@@ -256,22 +259,62 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     return ChainComplexData(K.vertices, K.edges, K.triangles, d1, d2)
 
 
+def _dual_forest(K: SimplicialComplex2):
+    """One polygon per tree of a spanning forest of the dual graph, as
+    sides (i, +-1): edge ``K.edges[i]`` read forward or backward.
+
+    Each tree starts at its first triangle (a, b, c), with sides a->b,
+    b->c, c->a.  A side on an edge in exactly two triangles, the other
+    unvisited, steps in: that triangle holds the side's inverse, and its
+    other two sides replace the side (Massey, *Algebraic Topology: An
+    Introduction*, 1967, ch. 1).  Every other side is emitted.
+    """
+    e_index = {e: i for i, e in enumerate(K.edges)}
+    fans = K.vertex_fans
+    visited = set()
+    for root in K.triangles:
+        if root in visited:
+            continue
+        visited.add(root)
+        a, b, c = root
+        sides = []
+        stack = [(c, a, root), (b, c, root), (a, b, root)]  # sides, next on top
+        while stack:
+            x, y, t = stack.pop()
+            ws = fans[x][y]
+            z = ws[0] if ws[-1] in t else ws[-1]
+            if len(ws) != 2 or (nxt := tuple(sorted((x, y, z)))) in visited:
+                sides.append((e_index[(x, y)], 1) if x < y else (e_index[(y, x)], -1))
+                continue
+            visited.add(nxt)
+            # nxt reads y x z: its sides x->z, z->y replace x->y
+            stack += [(z, y, nxt), (x, z, nxt)]
+        yield sides
+
+
 def homology(K: SimplicialComplex2):
     """(H0, H1, H2) as finitely generated abelian groups.
 
-    One Smith reduction, of d2.  H0 is free on the path components
-    (Hatcher, *Algebraic Topology*, 2002, Prop. 2.7): with c components,
-    H0 = Z^c and rank d1 = V - c.  The SNF of d2 gives rank d2 and the
-    torsion of H1.
+    Each of the F trees of ``_dual_forest`` is an open disc (its open
+    triangles and the open edges it steps across), and those edges lie
+    in no other triangle.  So any 2-complex K is a CW complex with one
+    2-cell per tree, attached along its polygon, and the E - (T - F)
+    other edges (Kaczynski, Mrozek & Ślusarek, 1998).  One Smith
+    reduction of the trees' d2 columns, their polygons' signed exponent
+    sums, gives r2 = rank d2 and the torsion of H1.  H0 = Z^c on the c
+    path components (Hatcher, *Algebraic Topology*, 2002, Prop. 2.7), so
+    H1 has free rank (E - (T - F)) - (V - c) - r2 and H2 = Z^(F - r2).
     """
-    data = boundary_matrices(K)
-    nv, ne, nt = len(K.vertices), len(K.edges), len(K.triangles)
+    columns = tuple(map(_column, _dual_forest(K)))
+    d2 = IntMatrix(len(K.edges), len(columns), columns)
+    if not _d1(K).mul_is_zero(d2):
+        raise InternalInvariantViolation("boundary of boundary is nonzero")
+    nv, ne, nt, nf = len(K.vertices), len(K.edges), len(K.triangles), len(columns)
     c = K.components
-    r1 = nv - c
-    snf2 = smith_normal_form(data.d2)
+    snf2 = smith_normal_form(d2)
     r2 = len(snf2)
-    h1 = FgAbelianGroup(ne - r1 - r2, tuple(t for t in snf2 if t > 1))
-    h2 = FgAbelianGroup(nt - r2, ())
+    h1 = FgAbelianGroup(ne - (nt - nf) - (nv - c) - r2, tuple(t for t in snf2 if t > 1))
+    h2 = FgAbelianGroup(nf - r2, ())
     return FgAbelianGroup(c, ()), h1, h2
 
 
@@ -393,48 +436,15 @@ def refine_to_triangulation(K: CellComplex):
 
 
 def to_cell_complex(K: SimplicialComplex2) -> CellComplex:
-    """View a triangulated complex as a cell complex: one polygon per
-    connected component, glued along a dual spanning tree.
-
-    Edge ``(a, b)`` (a < b) is named ``e<i>`` by its place in
-    ``K.edges``, read forward from a to b.  Each component starts from
-    its first triangle ``(a, b, c)``, whose sides a->b, b->c, c->a are
-    walked in order.  A side whose edge reaches an unvisited triangle
-    steps into it: that triangle is oriented to hold the side's inverse
-    and the walk goes on over its other two sides in place of the side
-    (Massey, *Algebraic Topology: An Introduction*, 1967, ch. 1).  Any
-    other side emits its letter.  One O(T) walk gives the polygon that
-    T - 1 ``merge_words`` calls along the tree would, with T + 2 letters
-    for T triangles.
-    """
-    edge_name = {e: f"e{i}" for i, e in enumerate(K.edges)}
+    """View a triangulated complex as a cell complex: one polygon per tree
+    of ``_dual_forest``, which is one per component on a surface.  Edge
+    ``(a, b)`` (a < b) is ``e<i>`` by its place in ``K.edges``, read from a
+    to b.  The O(T) walk gives the polygon, T + 2 letters for T triangles,
+    that T - 1 ``merge_words`` calls along a tree would."""
     fans = K.vertex_fans
-    for a, b in K.edges:
+    for i, (a, b) in enumerate(K.edges):
         if len(fans[a][b]) > 2:
-            raise EdgeMultiplicityError(edge_name[(a, b)], len(fans[a][b]))
-
-    def directed(a, b):
-        if a < b:
-            return EdgeSym(edge_name[(a, b)], 1)
-        return EdgeSym(edge_name[(b, a)], -1)
-
-    visited = set()
-    faces = {}
-    for root in K.triangles:
-        if root in visited:
-            continue
-        visited.add(root)
-        a, b, c = root
-        word = []
-        stack = [(c, a, root), (b, c, root), (a, b, root)]  # sides, next on top
-        while stack:
-            x, y, t = stack.pop()
-            z = next((u for u in fans[x][y] if u not in t), None)
-            if z is None or (nxt := tuple(sorted((x, y, z)))) in visited:
-                word.append(directed(x, y))
-                continue
-            visited.add(nxt)
-            # nxt reads y x z: its sides x->z, z->y replace x->y
-            stack += [(z, y, nxt), (x, z, nxt)]
-        faces[f"T{len(faces)}"] = tuple(word)
+            raise EdgeMultiplicityError(f"e{i}", len(fans[a][b]))
+    forest = enumerate(_dual_forest(K))
+    faces = {f"T{j}": tuple(EdgeSym(f"e{i}", s) for i, s in sides) for j, sides in forest}
     return build_complex(faces, internal=True)

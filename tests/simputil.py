@@ -4,8 +4,15 @@ import random
 
 from surfclass.cellcomplex import BORDER, INNER, NULL, Vertex, build
 from surfclass.edgeword import EdgeSym
+from surfclass.intlinalg import FgAbelianGroup, smith_normal_form
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical
-from surfclass.simplicial import ValidationReport, _count_components, _graph, refine_to_triangulation
+from surfclass.simplicial import (
+    ValidationReport,
+    _count_components,
+    _graph,
+    boundary_matrices,
+    refine_to_triangulation,
+)
 
 from wordutil import brute_least_rotation, word_key
 
@@ -53,6 +60,65 @@ def faces_per_triangle(K):
     for i, (a, b, c) in enumerate(K.triangles):
         faces[f"T{i}"] = (directed(a, b), directed(b, c), directed(c, a))
     return build(faces, internal=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles of homology and of the glued polygon, from the full boundary
+# matrices and the one-polygon-per-component walk they replaced
+
+
+def full_d2_homology(K):
+    """(H0, H1, H2) from one Smith reduction of the E x T matrix d2, with
+    rank d1 = V - c for c components."""
+    snf2 = smith_normal_form(boundary_matrices(K).d2)
+    nv, ne, nt = K.counts()
+    c, r2 = K.components, len(snf2)
+    h1 = FgAbelianGroup(ne - (nv - c) - r2, tuple(t for t in snf2 if t > 1))
+    return FgAbelianGroup(c, ()), h1, FgAbelianGroup(nt - r2, ())
+
+
+def dual_tree_count(K):
+    """Components of the graph on K's triangles that links two triangles
+    across each edge that lies in exactly those two."""
+    on_edge = {}
+    for a, b, c in K.triangles:
+        for e in ((a, b), (a, c), (b, c)):
+            on_edge.setdefault(e, []).append((a, b, c))
+    pairs = [ts for ts in on_edge.values() if len(ts) == 2]
+    return _count_components(_graph(K.triangles, pairs))
+
+
+def glued_faces(K):
+    """The faces of ``to_cell_complex(K)`` for K with every edge in at
+    most two triangles: a walk over each component from its first
+    triangle that steps into any unvisited triangle across a side."""
+    edge_name = {e: f"e{i}" for i, e in enumerate(K.edges)}
+
+    def directed(a, b):
+        if a < b:
+            return EdgeSym(edge_name[(a, b)], 1)
+        return EdgeSym(edge_name[(b, a)], -1)
+
+    fans = K.vertex_fans
+    visited = set()
+    faces = {}
+    for root in K.triangles:
+        if root in visited:
+            continue
+        visited.add(root)
+        a, b, c = root
+        word = []
+        stack = [(c, a, root), (b, c, root), (a, b, root)]
+        while stack:
+            x, y, t = stack.pop()
+            z = next((u for u in fans[x][y] if u not in t), None)
+            if z is None or (nxt := tuple(sorted((x, y, z)))) in visited:
+                word.append(directed(x, y))
+                continue
+            visited.add(nxt)
+            stack += [(z, y, nxt), (x, z, nxt)]
+        faces[f"T{len(faces)}"] = tuple(word)
+    return faces
 
 
 # ---------------------------------------------------------------------------

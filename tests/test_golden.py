@@ -42,6 +42,8 @@ from surfclass.rewrite import NormalForm, _Rewriter, make_canonical, normalize, 
 from surfclass.simplicial import refine_to_triangulation
 from surfclass.svg import render_svg
 
+from simputil import MOBIUS_BAND
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SAMPLES = ("bordered", "klein", "mobius", "torus")
@@ -180,7 +182,6 @@ def test_validate_json_of_non_surface_matches_golden(name, triangles, tmp_path, 
     assert run_out(["validate", tri, "--json"], capsys) == expected(f"{name}.validate_json")
 
 
-MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
 # 2-complexes that are not surfaces, where the triangles' dual graph
 # splits into several trees or stops at an edge in three triangles
 NON_SURFACE_TRI = {

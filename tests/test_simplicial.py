@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfclass import simplicial
 from surfclass.cellcomplex import build
@@ -29,6 +31,9 @@ from simputil import (
     DISC,
     MOBIUS_BAND,
     SMALL_FORMS,
+    dual_tree_count,
+    full_d2_homology,
+    glued_faces,
     edge_keyed_validate_bordered,
     edge_keyed_validate_closed,
     faces_per_triangle,
@@ -61,6 +66,13 @@ def test_build_closure():
     assert tri.counts() == (3, 3, 1)
     with pytest.raises(DegenerateTriangleError):
         build_simplicial([("a", "a", "b")])
+
+
+def test_build_checks_distinct_vertex_names():
+    # vertices are named by str(), so 1 and "1" are one vertex
+    with pytest.raises(DegenerateTriangleError, match=r"triangle \(1, '1', 2\) needs 3 distinct"):
+        build_simplicial([(1, "1", 2)])
+    assert build_simplicial([(1, 2, "3")]).triangles == (("1", "2", "3"),)
 
 
 def test_validate_closed(figure_triangulations):
@@ -173,7 +185,7 @@ def test_boundary_matrices_reject_a_nonzero_boundary_of_boundary(monkeypatch, fi
         boundary_matrices(K)
 
 
-def test_homology_runs_one_snf_of_d2(monkeypatch, figure_triangulations):
+def test_homology_runs_one_snf_of_one_column_per_dual_tree(monkeypatch, figure_triangulations):
     seen = []
 
     def counting(name):
@@ -187,9 +199,15 @@ def test_homology_runs_one_snf_of_d2(monkeypatch, figure_triangulations):
     for name in ("smith_normal_form", "cokernel", "rank"):
         monkeypatch.setattr(simplicial, name, counting(name))
     K = build_simplicial(figure_triangulations["projective"])
-    data = boundary_matrices(K)
     assert homology(K) == (Z, ZMOD2, TRIVIAL)
-    assert seen == [("smith_normal_form", data.d2)]
+    [(name, d2)] = seen
+    assert (name, d2.rows, d2.cols) == ("smith_normal_form", len(K.edges), 1)
+    for tris in FINS_AND_PINCHES.values():
+        seen.clear()
+        K = build_simplicial(tris)
+        homology(K)
+        [(name, d2)] = seen
+        assert (name, d2.rows, d2.cols) == ("smith_normal_form", len(K.edges), dual_tree_count(K))
 
 
 @pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
@@ -369,3 +387,41 @@ def test_first_symbol_vertex_order_is_the_full_key_order(form):
         K = scramble(make_canonical(form), seed, 15)
         assert_first_symbol_order(K)
         assert_first_symbol_order(refine_to_triangulation(K)[0])
+
+
+# ---------------------------------------------------------------------------
+# homology from one d2 column per dual tree, and the glued polygon, against
+# the full E x T boundary matrix and the walk they replaced
+
+TRIPLES = st.sets(st.integers(0, 8), min_size=3, max_size=3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(TRIPLES, min_size=1, max_size=14))
+def test_homology_matches_full_d2_on_random_2_complexes(triples):
+    # 9 vertices and up to 14 triangles: edges in 3+ triangles, pinched
+    # vertices and several components all occur
+    K = build_simplicial(triples)
+    assert homology(K) == full_d2_homology(K)
+
+
+def test_homology_matches_full_d2_on_figures_and_non_surfaces(figure_triangulations):
+    cases = dict(figure_triangulations, disc=DISC, mobius=MOBIUS_BAND, **FINS_AND_PINCHES)
+    for tris in cases.values():
+        K = build_simplicial(tris)
+        assert homology(K) == full_d2_homology(K)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_homology_matches_full_d2_on_linial_meshulam_complexes(seed):
+    rng = random.Random(seed)
+    K = build_simplicial(t for t in combinations(range(40), 3) if rng.random() < 2.8 / 40)
+    assert homology(K) == full_d2_homology(K)
+
+
+@pytest.mark.parametrize("form", VERTEX_ORDER_FORMS, ids=form_id)
+def test_glued_words_are_unchanged_on_refinements(form):
+    tris = refined_triangles(form)
+    for case in (tris, relabelled(tris, 0)):
+        K = build_simplicial(case)
+        assert to_cell_complex(K).faces == build(glued_faces(K), internal=True).faces
