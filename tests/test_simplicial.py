@@ -32,12 +32,12 @@ from simputil import (
     MOBIUS_BAND,
     SMALL_FORMS,
     dual_tree_count,
-    full_d2_homology,
-    glued_faces,
     edge_keyed_validate_bordered,
     edge_keyed_validate_closed,
     faces_per_triangle,
     form_id,
+    full_d2_homology,
+    glued_faces,
     refined_triangles,
     relabelled,
     vertices_by_full_keys,
@@ -183,6 +183,18 @@ def test_boundary_matrices_reject_a_nonzero_boundary_of_boundary(monkeypatch, fi
     monkeypatch.setattr(simplicial, "IntMatrix", d2_with_one_sign_wrong)
     with pytest.raises(InternalInvariantViolation, match="boundary of boundary"):
         boundary_matrices(K)
+
+
+def test_homology_rejects_a_nonzero_boundary_of_boundary(monkeypatch):
+    real = simplicial._column
+
+    def column_with_one_sign_wrong(pairs):
+        (r, v), *rest = real(pairs)
+        return ((r, -v), *rest)
+
+    monkeypatch.setattr(simplicial, "_column", column_with_one_sign_wrong)
+    with pytest.raises(InternalInvariantViolation, match="boundary of boundary"):
+        homology(build_simplicial(DISC))
 
 
 def test_homology_runs_one_snf_of_one_column_per_dual_tree(monkeypatch, figure_triangulations):
