@@ -20,7 +20,11 @@ counts of the refinement's corner cases: a null face, a one-gon, an
 ``x x'`` pair and two glued one-gons.  Four ``.tri`` inputs that are
 not surfaces pin ``homology`` of an edge in three triangles, a pinch,
 two components and a Möbius band with a fin, and the refined Möbius band
-pins ``homology`` and ``classify`` of a bordered triangulation.  A run
+pins ``homology`` and ``classify`` of a bordered triangulation.  Two
+``.tri`` inputs whose vertex names sort one way as strings and another
+as numbers or by first appearance pin ``validate``, ``homology`` and
+``classify`` of a closed surface and the order of a non-surface's
+violations.  A run
 that fails prints its stdout and then its one ``E_<CODE>:`` line; the
 file holds both, in that order.
 
@@ -196,6 +200,29 @@ NON_SURFACE_TRI = {
 def test_homology_json_of_non_surface_matches_golden(name, tmp_path, capsys):
     tri = write_tri(tmp_path / f"{name}.tri", NON_SURFACE_TRI[name])
     assert run_out(["homology", tri, "--json"], capsys) == expected(f"{name}.homology_json")
+
+
+# vertex names whose string order (1 10 2 9 V3 é) is neither their numeric
+# order nor their order of first appearance: the six-vertex projective
+# plane, and a tetrahedron with a fin on (2, 10) and a triangle from the
+# fin's tip back to V3
+LABELLED_TRI = {
+    "labelled_projective": [
+        ("é", "V3", "10"), ("é", "10", "2"), ("é", "2", "1"), ("é", "1", "9"), ("é", "9", "V3"),
+        ("V3", "10", "1"), ("10", "2", "9"), ("2", "1", "V3"), ("1", "9", "10"), ("9", "V3", "2"),
+    ],
+    "labelled_fin": [
+        ("V3", "10", "2"), ("é", "2", "10"), ("V3", "1", "2"), ("10", "1", "V3"),
+        ("1", "2", "10"), ("9", "V3", "é"),
+    ],
+}
+
+
+@pytest.mark.parametrize("verb", ("validate", "homology", "classify"))
+@pytest.mark.parametrize("name", sorted(LABELLED_TRI))
+def test_json_of_labelled_tri_matches_golden(name, verb, tmp_path, capsys):
+    tri = write_tri(tmp_path / f"{name}.tri", LABELLED_TRI[name])
+    assert run_out([verb, tri, "--json"], capsys) == expected(f"{name}.{verb}_json")
 
 
 @pytest.mark.parametrize("verb", ("classify", "homology"))
