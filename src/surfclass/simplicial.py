@@ -1,13 +1,15 @@
 """Abstract 2-dimensional simplicial complexes and their homology.
 
 Complexes are pure: every vertex and edge is required to lie in some
-triangle (dangling pieces are user error for surface work).  Validators
-implement the combinatorial surface conditions: every edge in exactly
-two triangles (or one/two for bordered), a single cyclic or linear fan
-of triangles around each vertex, and connectivity.  One pass over the
-link graphs, one per vertex and keyed by neighbour, checks both sets of
-conditions: node u of v's graph is the edge (v, u), and each triangle
-(v, u, w) links u and w.
+triangle (dangling pieces are user error for surface work).  A complex is
+indexed once, in integers: vertex ids in sorted-name order, so every
+order and name is that of the names; the triangles as sorted id triples;
+and per vertex v, link lists u -> the triangles on edge (v, u), by index
+(the third vertex of a triangle is its id sum minus the two known ids).
+Edges, components, the surface checks (every edge in two triangles, or
+one/two for bordered, a single cyclic or linear fan around each vertex,
+and connectivity, all in one pass over the fans) and the dual-graph walk
+read that index.
 
 ``refine_to_triangulation`` converts any cell complex into a
 triangulated one: split every edge, star every face from a central
@@ -20,15 +22,16 @@ that triangulation in closed form, without building it; ``homology``
 of a cell complex reports them next to its cellular groups.
 
 ``to_cell_complex`` and ``homology`` share one walk that glues each tree
-of the dual graph into a polygon; ``homology`` Smith-reduces one d2
-column per tree, and H0 and rank d1 come from the connected components.
+of the dual graph into a polygon; ``homology`` checks d1 d2 = 0 and
+Smith-reduces one d2 column per tree, and H0 and rank d1 come from the
+connected components.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import combinations, count
 
 from .cellcomplex import CellComplex, build as build_complex, count_invariants
 from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
@@ -39,83 +42,96 @@ from .intlinalg import cokernel, rank  # noqa: F401 - surfbench/spans.py wraps b
 
 @dataclass(frozen=True)
 class SimplicialComplex2:
-    vertices: tuple   # sorted vertex names
+    vertices: tuple   # sorted vertex names; vertex id i is vertices[i]
     triangles: tuple  # sorted tuples of 3 vertex names, sorted
 
     @cached_property
-    def edges(self) -> tuple:
-        out = set()
-        for t in self.triangles:
-            a, b, c = t
-            out.update(((a, b), (a, c), (b, c)))
-        return tuple(sorted(out))
-
-    def counts(self):
-        return len(self.vertices), len(self.edges), len(self.triangles)
-
-    # the validators' shared views, computed once per complex
+    def tri_ids(self) -> tuple:
+        """Each triangle as its triple of vertex ids, which is sorted too."""
+        ids = dict(zip(self.vertices, count()))
+        return tuple([(ids[a], ids[b], ids[c]) for a, b, c in self.triangles])
 
     @cached_property
-    def vertex_fans(self) -> dict:
-        """For each vertex v, in vertex order: its link graph, as
-        neighbour u -> the neighbours w such that (v, u, w) is a
-        triangle.  Node u stands for edge (v, u); its degree is the
-        number of triangles on that edge."""
-        fans: dict = {v: {} for v in self.vertices}
-        for a, b, c in self.triangles:
-            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-                links = fans[v]
-                links.setdefault(x, []).append(y)
-                links.setdefault(y, []).append(x)
+    def edge_ids(self) -> dict:
+        """Edge key a * V + b of vertex ids a < b -> its place in ``edges``."""
+        n = len(self.vertices)
+        keys = sorted(a * n + b for a, links in enumerate(self.vertex_fans) for b in links if a < b)
+        return dict(zip(keys, count()))
+
+    @cached_property
+    def edges(self) -> tuple:
+        n, names = len(self.vertices), self.vertices
+        return tuple((names[k // n], names[k % n]) for k in self.edge_ids)
+
+    def counts(self):
+        return len(self.vertices), len(self.edge_ids), len(self.triangles)
+
+    # the shared views of the index, computed once per complex
+
+    @cached_property
+    def vertex_fans(self) -> list:
+        """For each vertex id v: its link lists, neighbour u -> the
+        triangles on edge (v, u) by index, one list shared by both ends.
+        The third vertex of triangle t is ``sum(tri_ids[t]) - v - u``."""
+        fans = [{} for _ in self.vertices]
+        for t, tri in enumerate(self.tri_ids):
+            for a, b in combinations(tri, 2):
+                if (ts := fans[a].get(b)) is None:
+                    fans[a][b] = fans[b][a] = [t]
+                else:
+                    ts.append(t)
         return fans
+
+    @cached_property
+    def _odd_edges(self) -> list:
+        """(key, triangle count) of each edge not in exactly two triangles,
+        in edge order."""
+        n, fans = len(self.vertices), enumerate(self.vertex_fans)
+        return sorted((a * n + b, len(ts)) for a, links in fans for b, ts in links.items()
+                      if len(ts) != 2 and a < b)
 
     @cached_property
     def components(self) -> int:
         """The number of connected components."""
-        return _count_components(_graph(self.vertices, self.edges))
-
-    @property
-    def is_connected(self) -> bool:
-        return bool(self.triangles) and self.components == 1
+        return _count_components(self.vertex_fans, range(len(self.vertices)))
 
     @cached_property
     def surface_reports(self) -> tuple:
-        """(closed, bordered): both ``ValidationReport``s, from one pass
-        over the edges and one over the vertex fans.
+        """(closed, bordered): both ``ValidationReport``s, from the edges
+        not in two triangles and one pass over the vertex fans.
 
         Edge (v, u) lies in one triangle exactly when u is an end of v's
-        link graph, so a vertex is on the border when its graph has an end,
-        and a path-shaped graph ends in two border edges."""
-        fans = self.vertex_fans
-        closed, bordered, border_edges = [], [], []
-        for a, b in self.edges:
-            n = len(fans[a][b])
-            if n != 2:
-                closed.append(f"D1: edge {(a, b)} lies in {n} triangles, expected 2")
-            if n == 1:
-                border_edges.append((a, b))
-            elif n != 2:
-                bordered.append(f"D1: edge {(a, b)} lies in {n} triangles")
-        for v, links in fans.items():
+        link, so a vertex is on the border when its link has an end, and a
+        path-shaped link ends in two border edges, whose graph's
+        components are the border circles."""
+        fans, names, n = self.vertex_fans, self.vertices, len(self.vertices)
+        sums, closed, bordered = list(map(sum, self.tri_ids)), [], []
+        for k, m in self._odd_edges:
+            e = (names[k // n], names[k % n])
+            closed.append(f"D1: edge {e} lies in {m} triangles, expected 2")
+            if m != 1:
+                bordered.append(f"D1: edge {e} lies in {m} triangles")
+        for v, links in enumerate(fans):
             if not links:
-                closed.append(f"D2: vertex {v} has no incident edges")
-                bordered.append(f"D2: vertex {v} has no incident edges")
+                closed.append(f"D2: vertex {names[v]} has no incident edges")
+                bordered.append(f"D2: vertex {names[v]} has no incident edges")
                 continue
-            shape = _fan_shape(links)
+            shape = _fan_shape(v, links, sums)
             cycle = shape == "cycle" and len(links) >= 3
             if not cycle:
-                closed.append(f"D2: vertex {v} fan is not a single cycle (m >= 3)")
-            if any(len(ws) == 1 for ws in links.values()):
+                closed.append(f"D2: vertex {names[v]} fan is not a single cycle (m >= 3)")
+            if any(len(ts) == 1 for ts in links.values()):
                 if shape != "path":
                     bordered.append(
-                        f"D3: border vertex {v} fan is not a single border-to-border path"
+                        f"D3: border vertex {names[v]} fan is not a single border-to-border path"
                     )
             elif not cycle:
-                bordered.append(f"D2: interior vertex {v} fan is not a single cycle")
-        if not self.is_connected:
+                bordered.append(f"D2: interior vertex {names[v]} fan is not a single cycle")
+        if not (self.triangles and self.components == 1):
             closed.append("D3: complex is not connected")
             bordered.append("D4: complex is not connected")
-        circles = _count_components(_graph((), border_edges))
+        ends = (k // n for k, m in self._odd_edges if m == 1)  # a vertex of each border edge
+        circles = _count_components(fans, ends, border=True)
         return (
             ValidationReport(ok=not closed, violations=tuple(closed)),
             ValidationReport(ok=not bordered, violations=tuple(bordered), border_circles=circles),
@@ -146,56 +162,49 @@ def build_simplicial(triangles) -> SimplicialComplex2:
         if len(s) != 3 or s[0] == s[1] or s[1] == s[2]:
             raise DegenerateTriangleError(f"triangle {tuple(t)} needs 3 distinct vertices")
         tris.add(tuple(s))
-    verts = {v for t in tris for v in t}
-    return SimplicialComplex2(tuple(sorted(verts)), tuple(sorted(tris)))
+    return SimplicialComplex2(tuple(sorted(set().union(*tris))), tuple(sorted(tris)))
 
 
-def _count_components(adj: dict) -> int:
-    """Connected components of the graph given as node -> neighbours."""
-    seen = set()
+def _count_components(fans, starts, border=False) -> int:
+    """Components of the graph of the edges (of the border edges, in one
+    triangle, if ``border``) that hold a vertex of ``starts``."""
+    seen = bytearray(len(fans))
     count = 0
-    for start in adj:
-        if start in seen:
+    for start in starts:
+        if seen[start]:
             continue
         count += 1
-        seen.add(start)
+        seen[start] = 1
         stack = [start]
         while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
+            for y, ts in fans[stack.pop()].items():
+                if not seen[y] and (not border or len(ts) == 1):
+                    seen[y] = 1
                     stack.append(y)
     return count
 
 
-def _graph(nodes, edges) -> dict:
-    adj = {v: [] for v in nodes}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return adj
+def _fan_shape(v, links: dict, sums) -> str:
+    """Classify the link of vertex v: 'cycle', 'path', or 'bad'.
 
-
-def _fan_shape(links: dict) -> str:
-    """Classify one vertex's link graph: 'cycle', 'path', or 'bad'.
-
-    A link graph has no multiple edges (two triangles on the same three
-    vertices are one), so once every degree is 1 or 2 and at most two
-    are 1, one walk from an end, or from any node, visits the whole
-    graph exactly when it is connected."""
+    A link has no multiple edges (two triangles on the same three
+    vertices are one), so once every edge at v lies in one or two
+    triangles and at most two in one, one walk from an end, or from any
+    neighbour, visits the whole link exactly when it is connected."""
     ends = []
-    for u, ws in links.items():
-        if len(ws) == 1:
+    for u, ts in links.items():
+        if len(ts) == 1:
             ends.append(u)
-        elif len(ws) != 2:
+        elif len(ts) != 2:
             return "bad"
     if len(ends) not in (0, 2):
         return "bad"
     first = ends[0] if ends else next(iter(links))
-    prev, u, seen = None, first, 1
+    t, u, seen = None, first, 1
     while True:
-        ws = links[u]
-        prev, u = u, ws[1] if ws[0] == prev else ws[0]
+        ts = links[u]
+        t = ts[1] if ts[0] == t else ts[0]  # the triangle not walked in by
+        u = sums[t] - v - u
         if u == first:
             break
         seen += 1
@@ -227,31 +236,27 @@ def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
 
 
 def _d1(K: SimplicialComplex2) -> IntMatrix:
-    v_index = {v: i for i, v in enumerate(K.vertices)}
-    return IntMatrix(
-        len(K.vertices),
-        len(K.edges),
-        tuple(((v_index[a], -1), (v_index[b], 1)) for a, b in K.edges),
-    )
+    n = len(K.vertices)
+    return IntMatrix(n, len(K.edge_ids), tuple(((k // n, -1), (k % n, 1)) for k in K.edge_ids))
 
 
 def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     """Boundary operators with ascending-name reference orientations.
 
     For an edge (a, b) with a < b the boundary is b - a; for a triangle
-    (a, b, c) with a < b < c it is (b, c) - (a, c) + (a, b).  Vertices
-    and edges are sorted, so a < b gives row(a) < row(b) and the edges
-    (a, b) < (a, c) < (b, c) have ascending rows: each column is built
-    in the order ``IntMatrix`` requires (and checks).
+    (a, b, c) with a < b < c it is (b, c) - (a, c) + (a, b).  Vertex ids
+    follow the names and edges are sorted, so a < b gives row(a) < row(b)
+    and the edges (a, b) < (a, c) < (b, c) have ascending rows: each
+    column is built in the order ``IntMatrix`` requires (and checks).
     """
-    e_index = {e: i for i, e in enumerate(K.edges)}
+    e, n = K.edge_ids, len(K.vertices)
     d1 = _d1(K)
     d2 = IntMatrix(
-        len(K.edges),
+        len(e),
         len(K.triangles),
         tuple(
-            ((e_index[(a, b)], 1), (e_index[(a, c)], -1), (e_index[(b, c)], 1))
-            for a, b, c in K.triangles
+            ((e[a * n + b], 1), (e[a * n + c], -1), (e[b * n + c], 1))
+            for a, b, c in K.tri_ids
         ),
     )
     if not d1.mul_is_zero(d2):
@@ -261,7 +266,8 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
 
 def _dual_forest(K: SimplicialComplex2):
     """One polygon per tree of a spanning forest of the dual graph, as
-    sides (i, +-1): edge ``K.edges[i]`` read forward or backward.
+    sides (k, +-1): the edge with key k in ``K.edge_ids`` read forward
+    or backward.
 
     Each tree starts at its first triangle (a, b, c), with sides a->b,
     b->c, c->a.  A side on an edge in exactly two triangles, the other
@@ -269,26 +275,24 @@ def _dual_forest(K: SimplicialComplex2):
     other two sides replace the side (Massey, *Algebraic Topology: An
     Introduction*, 1967, ch. 1).  Every other side is emitted.
     """
-    e_index = {e: i for i, e in enumerate(K.edges)}
-    fans = K.vertex_fans
-    visited = set()
-    for root in K.triangles:
-        if root in visited:
+    fans, sums, n = K.vertex_fans, list(map(sum, K.tri_ids)), len(K.vertices)
+    visited = bytearray(len(sums))
+    for root, (a, b, c) in enumerate(K.tri_ids):
+        if visited[root]:
             continue
-        visited.add(root)
-        a, b, c = root
+        visited[root] = 1
         sides = []
         stack = [(c, a, root), (b, c, root), (a, b, root)]  # sides, next on top
         while stack:
             x, y, t = stack.pop()
-            ws = fans[x][y]
-            z = ws[0] if ws[-1] in t else ws[-1]
-            if len(ws) != 2 or (nxt := tuple(sorted((x, y, z)))) in visited:
-                sides.append((e_index[(x, y)], 1) if x < y else (e_index[(y, x)], -1))
+            ts = fans[x][y]
+            if len(ts) != 2 or visited[u := ts[ts[0] == t]]:  # u: the other triangle
+                sides.append((x * n + y, 1) if x < y else (y * n + x, -1))
                 continue
-            visited.add(nxt)
-            # nxt reads y x z: its sides x->z, z->y replace x->y
-            stack += [(z, y, nxt), (x, z, nxt)]
+            visited[u] = 1
+            # u reads y x z: its sides x->z, z->y replace x->y
+            z = sums[u] - x - y
+            stack += [(z, y, u), (x, z, u)]
         yield sides
 
 
@@ -304,12 +308,22 @@ def homology(K: SimplicialComplex2):
     sums, gives r2 = rank d2 and the torsion of H1.  H0 = Z^c on the c
     path components (Hatcher, *Algebraic Topology*, 2002, Prop. 2.7), so
     H1 has free rank (E - (T - F)) - (V - c) - r2 and H2 = Z^(F - r2).
+
+    d1 d2 = 0 is checked column by column: each entry (edge (a, b), v)
+    adds -v at a and +v at b, which is ``_d1(K).mul_is_zero`` in
+    O(nnz d2) instead of O(E).
     """
     columns = tuple(map(_column, _dual_forest(K)))
-    d2 = IntMatrix(len(K.edges), len(columns), columns)
-    if not _d1(K).mul_is_zero(d2):
-        raise InternalInvariantViolation("boundary of boundary is nonzero")
-    nv, ne, nt, nf = len(K.vertices), len(K.edges), len(K.triangles), len(columns)
+    e, n = K.edge_ids, len(K.vertices)
+    for col in columns:
+        ends = {}
+        for k, v in col:
+            ends[k // n] = ends.get(k // n, 0) - v
+            ends[k % n] = ends.get(k % n, 0) + v
+        if any(ends.values()):
+            raise InternalInvariantViolation("boundary of boundary is nonzero")
+    d2 = IntMatrix(len(e), len(columns), tuple(tuple((e[k], v) for k, v in col) for col in columns))
+    nv, ne, nt, nf = len(K.vertices), len(e), len(K.triangles), len(columns)
     c = K.components
     snf2 = smith_normal_form(d2)
     r2 = len(snf2)
@@ -441,10 +455,10 @@ def to_cell_complex(K: SimplicialComplex2) -> CellComplex:
     ``(a, b)`` (a < b) is ``e<i>`` by its place in ``K.edges``, read from a
     to b.  The O(T) walk gives the polygon, T + 2 letters for T triangles,
     that T - 1 ``merge_words`` calls along a tree would."""
-    fans = K.vertex_fans
-    for i, (a, b) in enumerate(K.edges):
-        if len(fans[a][b]) > 2:
-            raise EdgeMultiplicityError(f"e{i}", len(fans[a][b]))
+    e = K.edge_ids
+    for k, m in K._odd_edges:
+        if m > 2:
+            raise EdgeMultiplicityError(f"e{e[k]}", m)
     forest = enumerate(_dual_forest(K))
-    faces = {f"T{j}": tuple(EdgeSym(f"e{i}", s) for i, s in sides) for j, sides in forest}
+    faces = {f"T{j}": tuple(EdgeSym(f"e{e[k]}", s) for k, s in sides) for j, sides in forest}
     return build_complex(faces, internal=True)

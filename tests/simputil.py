@@ -4,15 +4,9 @@ import random
 
 from surfclass.cellcomplex import BORDER, INNER, NULL, Vertex, build
 from surfclass.edgeword import EdgeSym
-from surfclass.intlinalg import FgAbelianGroup, smith_normal_form
+from surfclass.intlinalg import FgAbelianGroup, IntMatrix, smith_normal_form
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical
-from surfclass.simplicial import (
-    ValidationReport,
-    _count_components,
-    _graph,
-    boundary_matrices,
-    refine_to_triangulation,
-)
+from surfclass.simplicial import ValidationReport, refine_to_triangulation
 
 from wordutil import brute_least_rotation, word_key
 
@@ -22,6 +16,32 @@ MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)
 # every form with p <= 4 and q <= 3
 SMALL_FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
 SMALL_FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 5) for q in range(4)]
+
+
+def _graph(nodes, edges) -> dict:
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return adj
+
+
+def _count_components(adj: dict) -> int:
+    """Connected components of the graph given as node -> neighbours."""
+    seen = set()
+    count = 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return count
 
 
 def form_id(form):
@@ -67,12 +87,20 @@ def faces_per_triangle(K):
 # matrices and the one-polygon-per-component walk they replaced
 
 
+def name_keyed_edges(K):
+    """K's edges, sorted, read off the names of its triangles."""
+    return sorted({e for a, b, c in K.triangles for e in ((a, b), (a, c), (b, c))})
+
+
 def full_d2_homology(K):
     """(H0, H1, H2) from one Smith reduction of the E x T matrix d2, with
-    rank d1 = V - c for c components."""
-    snf2 = smith_normal_form(boundary_matrices(K).d2)
-    nv, ne, nt = K.counts()
-    c, r2 = K.components, len(snf2)
+    rank d1 = V - c for c components, all keyed by vertex names."""
+    edges = name_keyed_edges(K)
+    row = {e: i for i, e in enumerate(edges)}
+    columns = [((row[a, b], 1), (row[a, c], -1), (row[b, c], 1)) for a, b, c in K.triangles]
+    snf2 = smith_normal_form(IntMatrix(len(edges), len(columns), tuple(columns)))
+    nv, ne, nt = len(K.vertices), len(edges), len(K.triangles)
+    c, r2 = _count_components(_graph(K.vertices, edges)), len(snf2)
     h1 = FgAbelianGroup(ne - (nv - c) - r2, tuple(t for t in snf2 if t > 1))
     return FgAbelianGroup(c, ()), h1, FgAbelianGroup(nt - r2, ())
 
@@ -92,14 +120,19 @@ def glued_faces(K):
     """The faces of ``to_cell_complex(K)`` for K with every edge in at
     most two triangles: a walk over each component from its first
     triangle that steps into any unvisited triangle across a side."""
-    edge_name = {e: f"e{i}" for i, e in enumerate(K.edges)}
+    edge_name = {e: f"e{i}" for i, e in enumerate(name_keyed_edges(K))}
 
     def directed(a, b):
         if a < b:
             return EdgeSym(edge_name[(a, b)], 1)
         return EdgeSym(edge_name[(b, a)], -1)
 
-    fans = K.vertex_fans
+    # for each vertex name v: neighbour u -> the w such that (v, u, w) is a triangle
+    fans = {v: {} for v in K.vertices}
+    for a, b, c in K.triangles:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            fans[v].setdefault(x, []).append(y)
+            fans[v].setdefault(y, []).append(x)
     visited = set()
     faces = {}
     for root in K.triangles:

@@ -76,9 +76,9 @@ def test_validate_walks_each_vertex_fan_once(files, capsys, monkeypatch, triangl
     calls = []
     fan_shape = simplicial._fan_shape
 
-    def counted(links):
-        calls.append(links)
-        return fan_shape(links)
+    def counted(*args):
+        calls.append(args)
+        return fan_shape(*args)
 
     monkeypatch.setattr(simplicial, "_fan_shape", counted)
     assert run(["validate", write("surface.tri", triangles), "--json"]) == 0

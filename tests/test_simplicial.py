@@ -38,6 +38,7 @@ from simputil import (
     form_id,
     full_d2_homology,
     glued_faces,
+    name_keyed_edges,
     refined_triangles,
     relabelled,
     vertices_by_full_keys,
@@ -195,6 +196,21 @@ def test_homology_rejects_a_nonzero_boundary_of_boundary(monkeypatch):
     monkeypatch.setattr(simplicial, "_column", column_with_one_sign_wrong)
     with pytest.raises(InternalInvariantViolation, match="boundary of boundary"):
         homology(build_simplicial(DISC))
+
+
+def test_homology_builds_no_vertex_by_edge_matrix(monkeypatch, figure_triangulations):
+    cases = dict(figure_triangulations, disc=DISC, mobius=MOBIUS_BAND, **FINS_AND_PINCHES)
+    complexes = {name: build_simplicial(tris) for name, tris in cases.items()}
+    want = {name: full_d2_homology(K) for name, K in complexes.items()}
+
+    def no_d1(K):
+        raise AssertionError("built the V x E matrix d1")
+
+    monkeypatch.setattr(simplicial, "_d1", no_d1)
+    for name, K in complexes.items():
+        assert homology(K) == want[name], name
+        with pytest.raises(AssertionError, match="V x E"):
+            boundary_matrices(K)
 
 
 def test_homology_runs_one_snf_of_one_column_per_dual_tree(monkeypatch, figure_triangulations):
@@ -437,3 +453,67 @@ def test_glued_words_are_unchanged_on_refinements(form):
     for case in (tris, relabelled(tris, 0)):
         K = build_simplicial(case)
         assert to_cell_complex(K).faces == build(glued_faces(K), internal=True).faces
+
+
+# ---------------------------------------------------------------------------
+# the integer index (vertex ids in sorted-name order) under vertex names
+# whose string order is neither their numeric order nor their order of
+# first appearance, against oracles keyed by the names themselves
+
+LABELS = ("10", "2", "é", "1", "V3", "9", "b", "11", "Z", "100", "3", "Ä")
+INT_LABELS = (10, 2, 100, 1, 3, 9, 20, 11, 5)
+
+
+def glued_or_error(glue):
+    try:
+        return glue().faces
+    except (DisconnectedError, EdgeMultiplicityError) as e:
+        return type(e).__name__, str(e)
+
+
+def assert_index_matches_name_keyed_oracles(K):
+    edges = name_keyed_edges(K)
+    assert K.edges == tuple(edges)
+    assert K.counts() == (len(K.vertices), len(edges), len(K.triangles))
+    assert homology(K) == full_d2_homology(K)
+    assert_validators_match_oracle(K)
+    glued = glued_or_error(lambda: to_cell_complex(K))
+    on_edge = [sum(set(e) <= set(t) for t in K.triangles) for e in edges]
+    if max(on_edge) > 2:
+        i, n = next((i, n) for i, n in enumerate(on_edge) if n > 2)
+        assert glued == ("EdgeMultiplicityError", str(EdgeMultiplicityError(f"e{i}", n)))
+    else:
+        assert glued == glued_or_error(lambda: build(glued_faces(K), internal=True))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(TRIPLES, min_size=1, max_size=14), st.sampled_from((LABELS, INT_LABELS)))
+def test_index_matches_name_keyed_oracles_under_relabelling(triples, labels):
+    K = build_simplicial([labels[v] for v in t] for t in triples)
+    assert_index_matches_name_keyed_oracles(K)
+
+
+def test_index_matches_name_keyed_oracles_on_relabelled_figures(figure_triangulations):
+    cases = dict(figure_triangulations, disc=DISC, mobius=MOBIUS_BAND, **FINS_AND_PINCHES)
+    for tris in cases.values():
+        for seed in range(3):
+            shuffled = relabelled(tris, seed)
+            rename = dict(zip(sorted({v for t in shuffled for v in t}), LABELS))
+            renamed = [tuple(rename[v] for v in t) for t in shuffled]
+            assert_index_matches_name_keyed_oracles(build_simplicial(renamed))
+
+
+def test_index_matches_name_keyed_oracles_with_a_bare_vertex():
+    tetra = [("1", "10", "2"), ("1", "10", "V3"), ("1", "2", "V3"), ("10", "2", "V3")]
+    for triangles in (tetra, tetra[:3], DISC):
+        names = sorted({v for t in triangles for v in t} | {"9"})
+        K = SimplicialComplex2(tuple(names), tuple(sorted(tuple(sorted(t)) for t in triangles)))
+        assert "D2: vertex 9 has no incident edges" in validate_closed_surface(K).violations
+        assert_index_matches_name_keyed_oracles(K)
+
+
+def test_index_of_integer_vertices_follows_their_names():
+    K = build_simplicial([(10, 2, 1), (2, 1, 3), (1, 3, 10), (3, 10, 2)])
+    assert K.vertices == ("1", "10", "2", "3")
+    assert K.tri_ids == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    assert_index_matches_name_keyed_oracles(K)
