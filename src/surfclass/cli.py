@@ -22,6 +22,7 @@ from .classify import certified_homology, to_json_dict
 from .classify import classify as classify_surface
 from .edgeword import format_word
 from .errors import (
+    FileFormatError,
     InternalInvariantViolation,
     NotASurfaceError,
     RenderLimitError,
@@ -44,7 +45,11 @@ from .simplicial import (
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            # read() decodes the whole file at once, so e.start is its byte offset
+            raise FileFormatError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
 
 
 class _Out:

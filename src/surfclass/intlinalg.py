@@ -13,19 +13,19 @@ rows x cols.  The dense row-major ``entries`` are built only on request.
 The Smith reduction is the sparse elimination of Dumas, Heckenbach,
 Saunders & Welker (2003).  It reduces the rows or the columns,
 whichever are more numerous, since those lines are the sparser ones
-(two nonzeros each in a boundary matrix).  A queue holds the lines
-that may have a +-1 entry: every line at the start, and again each
-line an elimination changes, so no pivot search rescans the matrix.
-Of a line's unit entries, the one whose position the fewest other
-lines share is taken, which keeps each elimination step small.  Unit
-pivots can still grow the other entries; once the queue runs dry, the
-same elimination pivots on the least entry left.
+(two nonzeros each in a boundary matrix).  One order picks every
+pivot: least entry first, then shortest line, in the spirit of
+Markowitz (1957) and of Dumas, Saunders & Villard (2001).  A heap keyed
+by each line's least ``|entry|`` and length yields the pivot line, so
+no step rescans the matrix, and units come first of their own accord.
+In that line, the pivot position is the one the fewest other lines
+share, which keeps each elimination step small.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import DimensionMismatchError
@@ -59,24 +59,6 @@ class IntMatrix:
                     )
                 last = r
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatchError("ragged rows")
-        columns = [[] for _ in range(ncols)]
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    columns[c].append((r, v))
-        return cls(nrows, ncols, tuple(map(tuple, columns)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, ((),) * cols)
-
     @property
     def entries(self) -> tuple:
         """Row-major dense entries, length rows*cols."""
@@ -85,19 +67,6 @@ class IntMatrix:
             for r, v in col:
                 out[r * self.cols + c] = v
         return tuple(out)
-
-    def __getitem__(self, rc):
-        r, c = rc
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
-        return next((v for rr, v in self.columns[c] if rr == r), 0)
-
-    def transpose(self) -> "IntMatrix":
-        out = [[] for _ in range(self.rows)]
-        for c, col in enumerate(self.columns):
-            for r, v in col:
-                out[r].append((c, v))
-        return IntMatrix(self.cols, self.rows, tuple(map(tuple, out)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Exact product; column j of the result sums the columns of self
@@ -113,24 +82,6 @@ class IntMatrix:
                 for col in other.columns
             ),
         )
-
-    def mul_is_zero(self, other: "IntMatrix") -> bool:
-        """Whether ``self.mul(other)`` is zero: each product column's row
-        sums are tested as they come, and no column is built or sorted."""
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner dimensions differ")
-        a = self.columns
-        for col in other.columns:
-            acc = {}
-            for k, bv in col:
-                for r, av in a[k]:
-                    acc[r] = acc.get(r, 0) + bv * av
-            if any(acc.values()):
-                return False
-        return True
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
 
 
 @dataclass(frozen=True)
@@ -165,12 +116,16 @@ def group_format(G: FgAbelianGroup) -> str:
 def smith_normal_form(M: IntMatrix) -> tuple:
     """Invariant factors d1 | d2 | ... | dr with r = rank(M).
 
-    A pivot's line and position leave the matrix once no other line
-    holds the position and the pivot divides its line.  Until then a
-    non-unit pivot, the least entry left, leaves remainders smaller
-    than itself.  So each step that is not skipped either removes a
-    line, or keeps the same lines with a smaller least ``|entry|``, and
-    the reduction ends.
+    Every pivot is a least entry left, in the shortest line holding one,
+    at the position the fewest lines share.  A heap of (least ``|entry|``,
+    length) per line yields it; a changed line is pushed again, and a
+    popped key that no longer matches its line is stale.  A pivot's line
+    and position leave once no other line holds the position and the
+    pivot divides its line.  Until then it leaves remainders below
+    itself, so each step removes a line or lowers the least ``|entry|``,
+    and the reduction ends.  A pivot line kept for others' remainders
+    needs no push: those lines changed only where it has entries, so the
+    next pivot sits at one of its positions, and that step changes it.
     """
     # M and its transpose have the same invariant factors, so eliminate
     # along whichever side has more lines: each line is then sparser
@@ -185,24 +140,19 @@ def smith_normal_form(M: IntMatrix) -> tuple:
     for i, line in lines.items():
         for p in line:
             cross.setdefault(p, set()).add(i)
-    queue = deque(lines)  # lines that may hold a unit entry
+
+    def key(line):
+        return min(map(abs, line.values())), len(line)
+
+    heap = [(key(line), i) for i, line in lines.items()]
+    heapify(heap)
     factors = []
     while lines:
-        if queue:
-            i = queue.popleft()
-            line = lines.get(i)
-            if line is None:
-                continue
-            units = [p for p, v in line.items() if v == 1 or v == -1]
-            if not units:
-                continue
-            # of the unit entries, the one whose position the fewest other
-            # lines share needs the fewest lines updated
-            p = min(units, key=lambda q: len(cross[q]))
-        else:
-            # every line that changed was queued, so no unit is left
-            _, i, p = min((abs(v), i, p) for i, line in lines.items() for p, v in line.items())
-            line = lines[i]
+        (least, length), i = heappop(heap)
+        line = lines.get(i)
+        if line is None or key(line) != (least, length):
+            continue  # stale: the line left or changed since this push
+        p = min((q for q, v in line.items() if abs(v) == least), key=lambda q: len(cross[q]))
         pv = line[p]
         for k in tuple(cross[p]):
             if k == i:
@@ -219,7 +169,7 @@ def smith_normal_form(M: IntMatrix) -> tuple:
                     del other[q]
                     cross[q].discard(k)
             if other:
-                queue.append(k)
+                heappush(heap, (key(other), k))
             else:
                 del lines[k]
         if pv != 1 and pv != -1:
@@ -231,7 +181,7 @@ def smith_normal_form(M: IntMatrix) -> tuple:
                 # mod pv by column operations changes this line alone
                 for q in rest:
                     line[q] %= pv
-                queue.append(i)
+                heappush(heap, (key(line), i))
                 continue
         # the pivot line and position leave the matrix
         del cross[p]

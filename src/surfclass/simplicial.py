@@ -22,9 +22,9 @@ that triangulation in closed form, without building it; ``homology``
 of a cell complex reports them next to its cellular groups.
 
 ``to_cell_complex`` and ``homology`` share one walk that glues each tree
-of the dual graph into a polygon; ``homology`` checks d1 d2 = 0 and
-Smith-reduces one d2 column per tree, and H0 and rank d1 come from the
-connected components.
+of the dual graph into a polygon; ``homology`` Smith-reduces one d2
+column per tree, and H0 and rank d1 come from the connected components.
+``_d2`` checks d1 d2 = 0 for it and for ``boundary_matrices``.
 """
 
 from __future__ import annotations
@@ -240,6 +240,22 @@ def _d1(K: SimplicialComplex2) -> IntMatrix:
     return IntMatrix(n, len(K.edge_ids), tuple(((k // n, -1), (k % n, 1)) for k in K.edge_ids))
 
 
+def _d2(K: SimplicialComplex2, columns) -> IntMatrix:
+    """d2 over the edge rows of K, from columns of (edge key, value) pairs
+    in ascending key order.  d1 d2 = 0 is checked column by column: each
+    entry (edge (a, b), v) adds -v at a and +v at b, in O(nnz d2) and
+    with no V x E matrix d1."""
+    e, n = K.edge_ids, len(K.vertices)
+    for col in columns:
+        ends = {}
+        for k, v in col:
+            ends[k // n] = ends.get(k // n, 0) - v
+            ends[k % n] = ends.get(k % n, 0) + v
+        if any(ends.values()):
+            raise InternalInvariantViolation("boundary of boundary is nonzero")
+    return IntMatrix(len(e), len(columns), tuple(tuple((e[k], v) for k, v in c) for c in columns))
+
+
 def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     """Boundary operators with ascending-name reference orientations.
 
@@ -249,19 +265,9 @@ def boundary_matrices(K: SimplicialComplex2) -> ChainComplexData:
     and the edges (a, b) < (a, c) < (b, c) have ascending rows: each
     column is built in the order ``IntMatrix`` requires (and checks).
     """
-    e, n = K.edge_ids, len(K.vertices)
-    d1 = _d1(K)
-    d2 = IntMatrix(
-        len(e),
-        len(K.triangles),
-        tuple(
-            ((e[a * n + b], 1), (e[a * n + c], -1), (e[b * n + c], 1))
-            for a, b, c in K.tri_ids
-        ),
-    )
-    if not d1.mul_is_zero(d2):
-        raise InternalInvariantViolation("boundary of boundary is nonzero")
-    return ChainComplexData(K.vertices, K.edges, K.triangles, d1, d2)
+    n = len(K.vertices)
+    d2 = _d2(K, tuple(((a * n + b, 1), (a * n + c, -1), (b * n + c, 1)) for a, b, c in K.tri_ids))
+    return ChainComplexData(K.vertices, K.edges, K.triangles, _d1(K), d2)
 
 
 def _dual_forest(K: SimplicialComplex2):
@@ -308,22 +314,9 @@ def homology(K: SimplicialComplex2):
     sums, gives r2 = rank d2 and the torsion of H1.  H0 = Z^c on the c
     path components (Hatcher, *Algebraic Topology*, 2002, Prop. 2.7), so
     H1 has free rank (E - (T - F)) - (V - c) - r2 and H2 = Z^(F - r2).
-
-    d1 d2 = 0 is checked column by column: each entry (edge (a, b), v)
-    adds -v at a and +v at b, which is ``_d1(K).mul_is_zero`` in
-    O(nnz d2) instead of O(E).
     """
-    columns = tuple(map(_column, _dual_forest(K)))
-    e, n = K.edge_ids, len(K.vertices)
-    for col in columns:
-        ends = {}
-        for k, v in col:
-            ends[k // n] = ends.get(k // n, 0) - v
-            ends[k % n] = ends.get(k % n, 0) + v
-        if any(ends.values()):
-            raise InternalInvariantViolation("boundary of boundary is nonzero")
-    d2 = IntMatrix(len(e), len(columns), tuple(tuple((e[k], v) for k, v in col) for col in columns))
-    nv, ne, nt, nf = len(K.vertices), len(e), len(K.triangles), len(columns)
+    d2 = _d2(K, tuple(map(_column, _dual_forest(K))))
+    nv, ne, nt, nf = len(K.vertices), d2.rows, len(K.triangles), d2.cols
     c = K.components
     snf2 = smith_normal_form(d2)
     r2 = len(snf2)

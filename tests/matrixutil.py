@@ -1,16 +1,53 @@
-"""Independent integer-matrix oracles for the tests: invariant factors
-by gcd of minors, and rank over Q, rank over GF(p) and the determinant
-by exact Gaussian elimination.
+"""Integer matrices for the tests: ``IntMatrix`` built from dense rows
+or zeros, read entry by entry, transposed and tested for zero; and
+independent oracles: invariant factors by gcd of minors, and rank over
+Q, rank over GF(p) and the determinant by exact Gaussian elimination.
 
-Each reads the dense rows of an ``IntMatrix`` and shares no code with
-``surfclass.intlinalg``'s sparse Smith reduction.
+Each oracle reads the dense rows of an ``IntMatrix`` and shares no code
+with ``surfclass.intlinalg``'s sparse Smith reduction.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from surfclass.errors import DimensionMismatchError
 from surfclass.intlinalg import IntMatrix
+
+
+def from_rows(rows) -> IntMatrix:
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatchError("ragged rows")
+    columns = [[] for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if v:
+                columns[c].append((r, v))
+    return IntMatrix(len(rows), ncols, tuple(map(tuple, columns)))
+
+
+def zeros(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, ((),) * cols)
+
+
+def entry(M: IntMatrix, r: int, c: int) -> int:
+    if not (0 <= r < M.rows and 0 <= c < M.cols):
+        raise IndexError(f"({r}, {c}) outside a {M.rows}x{M.cols} matrix")
+    return next((v for rr, v in M.columns[c] if rr == r), 0)
+
+
+def transpose(M: IntMatrix) -> IntMatrix:
+    out = [[] for _ in range(M.rows)]
+    for c, col in enumerate(M.columns):
+        for r, v in col:
+            out[r].append((c, v))
+    return IntMatrix(M.cols, M.rows, tuple(map(tuple, out)))
+
+
+def is_zero(M: IntMatrix) -> bool:
+    return not any(M.columns)
 
 
 def dense_rows(M: IntMatrix) -> list:

@@ -23,7 +23,7 @@ from surfclass.classify import (
 )
 from surfclass.edgeword import format_word, parse_word
 from surfclass.errors import BorderedNotSupportedError, InfeasibleInvariantsError
-from surfclass.intlinalg import FgAbelianGroup, IntMatrix, cokernel
+from surfclass.intlinalg import FgAbelianGroup, cokernel
 from surfclass.rewrite import (
     TYPE_I,
     TYPE_II,
@@ -34,6 +34,8 @@ from surfclass.rewrite import (
     scramble,
 )
 from surfclass.simplicial import homology, refine_to_triangulation, refined_counts, to_cell_complex
+
+from matrixutil import from_rows, zeros
 
 classify_module = importlib.import_module("surfclass.classify")  # the package exports the function
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -153,14 +155,14 @@ def abelianized(pres):
     n = len(pres.generators)
     index = {g: i for i, g in enumerate(pres.generators)}
     if not pres.relators:
-        return cokernel(n, IntMatrix.zeros(n, 0))
+        return cokernel(n, zeros(n, 0))
     cols = []
     for rel in pres.relators:
         col = [0] * n
         for s in rel:
             col[index[s.name]] += s.sign
         cols.append(col)
-    M = IntMatrix.from_rows([[col[i] for col in cols] for i in range(n)])
+    M = from_rows([[col[i] for col in cols] for i in range(n)])
     return cokernel(n, M)
 
 

@@ -162,8 +162,8 @@ def test_homology_simplicial_direct(files, capsys):
 
 
 def test_homology_of_a_random_2_complex(files, capsys):
-    # a Linial-Meshulam random 2-complex: unit pivots on its +-1 d2 leave
-    # 21 x 24 entries up to 18,553, which the least-entry pivots finish
+    # a Linial-Meshulam random 2-complex: its +-1 d2 on the dual trees is
+    # 730 x 504, which the Smith reduction finishes on unit pivots alone
     write, _ = files
     rng = random.Random(2)
     triangles = [t for t in combinations(range(40), 3) if rng.random() < 2.8 / 40]
@@ -353,6 +353,36 @@ def test_parse_ifs_rejects_non_finite_coefficients(files, capsys, bad):
     one_coded_line(err, "E_FILE_FORMAT")
     assert "line 2" in err
     assert not (tmp / "o.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "bad.in"],
+    ["classify", "bad.in"],
+    ["normalize", "bad.in"],
+    ["homology", "bad.in"],
+    ["refine", "bad.in", "--out", "out"],
+    ["fractal-render", "--ifs", "bad.in", "--seed-file", "seg.pts", "--iters", "1", "--out", "out"],
+    ["fractal-render", "--ifs", "maps.ifs", "--seed-file", "bad.in", "--iters", "1", "--out", "out"],
+    ["hausdorff", "bad.in", "seg.pts"],
+    ["hausdorff", "seg.pts", "bad.in"],
+    ["winding", "bad.in", "--point", "0.5,0.5"],
+], ids=["validate", "classify", "normalize", "homology", "refine", "render-ifs", "render-seed",
+        "hausdorff-a", "hausdorff-b", "winding"])
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff\xfe" + "face A : a a'\n".encode("utf-16-le"), 0),  # a UTF-16 file with its BOM
+    ("# côté\n".encode() + b"\xff\n", 9),
+], ids=["utf16", "byte9"])
+def test_non_utf8_input_is_one_coded_line(files, capsys, monkeypatch, argv, data, offset):
+    write, tmp = files
+    write("seg.pts", "0,0\n1,0\n")
+    write("maps.ifs", "0.5 0 0 0.5 0 0\n")
+    (tmp / "bad.in").write_bytes(data)
+    monkeypatch.chdir(tmp)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    one_coded_line(err, "E_FILE_FORMAT")
+    assert f"bad.in: byte {offset} is not UTF-8" in err
+    assert not (tmp / "out").exists()
 
 
 @pytest.mark.parametrize("maps, seed, iters, code", [
