@@ -233,7 +233,7 @@ def cmd_refine(args, out):
 # a segment takes about 50 bytes of SVG, so this is a file of about 50 MB
 MAX_PRIMITIVES = 1_000_000
 # the self-test's time grows faster than the square of --moves: about
-# 5 s at 1,000 moves on samples/torus.cc (Python 3.11, 2 vCPUs)
+# 4 s at 1,000 moves on samples/torus.cc (Python 3.11, 2 vCPUs)
 MAX_SCRAMBLE_MOVES = 1_000
 
 

@@ -37,10 +37,6 @@ class AffineMap2:
     e: float
     f: float
 
-    def apply(self, pt):
-        x, y = pt
-        return (self.a * x + self.b * y + self.e, self.c * x + self.d * y + self.f)
-
 
 def contraction_ratio(m: AffineMap2) -> float:
     """Largest singular value of the linear part (its Lipschitz constant)."""

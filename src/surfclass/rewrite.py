@@ -5,18 +5,19 @@ Two elementary moves generate the equivalence of cell complexes:
 * P1 splits an edge ``a`` into ``b c`` everywhere (and ``a'`` into
   ``c' b'``); its inverse contracts such a pair when ``(b, c')`` is a
   two-element vertex.
-* P2 cuts one face in two along a fresh chord; its inverse merges two
-  distinct faces sharing an edge.
+* P2 cuts one face in two along a fresh chord between two of its
+  corners; its inverse merges two distinct faces sharing an edge.
 
 ``normalize`` drives a complex to the canonical single-face form:
 handles ``a b a' b'`` (orientable) or cross-caps ``a a`` otherwise,
-followed by one loop ``c h c'`` per boundary circle.  Every composite
-word rewrite (``x x'`` cancellation, rotation, reorientation, cross-cap
-rule, handle rule, handle+cross-cap conversion, loop grouping) is one
-splice record: rotate the face's word to a start, cut it into slices
-and write a template of slices, inverted slices and letters.  The word
-phases only choose the next record; ``_Rewriter.splice`` applies it as
-a single trace step.
+followed by one loop ``c h c'`` per boundary circle.  A face's word is
+cyclic and reads either way, so rotating or reorienting it is no move.
+Every composite word rewrite (``x x'`` cancellation, cross-cap rule,
+handle rule, handle+cross-cap conversion, loop grouping, the closing
+canonical relabel) is one splice record: rotate the face's word to a
+start, cut it into slices and write a template of slices, inverted
+slices and letters.  The word phases only choose the next record;
+``_Rewriter.splice`` applies it as a single trace step.
 
 Every move, public or internal, runs on one engine: the public
 ``apply_*``, ``scramble``, ``replay_trace`` and ``normalize`` all apply
@@ -199,7 +200,7 @@ def apply_p2(K: CellComplex, face: str, p: int, d: str) -> CellComplex:
         raise BadPositionError(f"position {p} out of range for length {len(w)}")
     if d in K.edges:
         raise NameCollisionError(f"name {d!r} already in use")
-    return _Rewriter(K).p2(face, p, d).complex()
+    return _Rewriter(K).p2(face, 0, p, d).complex()
 
 
 def apply_p2_inverse(K: CellComplex, face1: str, face2: str, edge: str) -> CellComplex:
@@ -450,19 +451,20 @@ class _Rewriter:
             raise InternalInvariantViolation(f"contraction of {b!r} {c!r} matched nothing")
         return self.mutate(changes, "P1inv", "", (repr(b), repr(c), fresh))
 
-    def p2(self, face: str, p: int, d: str, pieces=None):
-        """P2: cut ``face`` at position p along a fresh chord ``d`` into
+    def p2(self, face: str, start: int, p: int, d: str, pieces=None):
+        """P2: cut ``face`` along a fresh chord ``d`` from corner ``start``
+        to corner ``start + p``: its word w, read from ``start``, becomes
         ``w[:p] d`` and ``d' w[p:]``.  ``pieces`` names the two, appended
         after the other faces; by default the first keeps the face's name
         and place and the second takes a sibling name right after it."""
-        u, v = split_face(self.faces[face], p, d)
+        u, v = split_face(rotate(self.faces[face], start), p, d)
         if pieces is None:
             other = _free_face_name(self.faces, face)
             changes, beside = {face: u, other: v}, face
         else:
             # a piece named like the face keeps its place
             changes, beside = {face: None, pieces[0]: u, pieces[1]: v}, None
-        return self.mutate(changes, "P2", "", (face, p, d), beside)
+        return self.mutate(changes, "P2", "", (face, start, p, d), beside)
 
     def p2_inverse(self, face1: str, face2: str, edge: str):
         """P2 inverse: merge ``face2`` into ``face1`` along ``edge``."""
@@ -489,11 +491,8 @@ class _Rewriter:
     def single_name(self) -> str:
         return next(iter(self.faces))
 
-    def single_word(self) -> Word:
-        return self.faces[self.single_name()]
-
     def is_sphere_state(self) -> bool:
-        return len(self.faces) == 1 and not self.single_word()
+        return len(self.faces) == 1 and not self.faces[self.single_name()]
 
     # -- step 1: cancel a a' ------------------------------------------------
 
@@ -516,36 +515,28 @@ class _Rewriter:
     # -- elimination primitive ------------------------------------------------
 
     def eliminate(self, anchor: EdgeSym, victim: EdgeSym):
-        """Remove the victim's edge; ``anchor victim'`` occurs in some boundary."""
-        target = victim.inv()
-
-        def at(w):  # index of the first cyclic ``anchor target`` in w, or None
-            n = len(w)
-            return next(
-                (i for i in range(n) if w[i] == anchor and w[(i + 1) % n] == target), None
-            )
-
+        """Remove the victim's edge: one P2 cuts the window ``anchor
+        victim'`` (or its inverse ``victim anchor'``) off its face, face by
+        face and the first window first, and one P2 inverse merges that
+        small face into the holder of the victim's other occurrence."""
+        windows = ((anchor, victim.inv()), (victim, anchor.inv()))
         found = next(
             (
-                (name, flip)
+                (name, i)
                 for name, w in self.faces.items()
-                for flip in (False, True)
-                if at(inverse_word(w) if flip else w) is not None
+                for x, y in windows
+                for i in range(len(w))
+                if w[i] == x and w[(i + 1) % len(w)] == y
             ),
             None,
         )
         if found is None:
-            raise InternalInvariantViolation(f"adjacency {anchor!r} {target!r} not found")
-        name, flip = found
-        if flip:  # re-choose the stored orientation of the face
-            self.splice(name, 0, (), (~0,), "reorient", (name,))
-        i = at(self.faces[name])
-        if i:
-            self.splice(name, i, (), (0,), "rotate", (name,))
-        # split off the small face (anchor victim' c); remainder keeps the rest
+            raise InternalInvariantViolation(f"adjacency {anchor!r} {victim.inv()!r} not found")
+        name, i = found
+        # split off the small face (the window, then c); remainder keeps the rest
         c = self.fresh_edge()
         small, rest = self.fresh_face(), self.fresh_face()
-        self.p2(name, 2, c, (small, rest))
+        self.p2(name, i, 2, c, (small, rest))
         # merge the small face into the holder of the other victim occurrence
         other = next(
             (f for f, w in self.faces.items() if f != small and victim.name in (s.name for s in w)),
@@ -618,7 +609,7 @@ class _Rewriter:
             return
         name = next(iter(self.faces))
         d = self.fresh_edge()
-        self.p2(name, len(self.faces[name]), d, (name, self.fresh_face()))
+        self.p2(name, 0, len(self.faces[name]), d, (name, self.fresh_face()))
         self.p1(d, self.fresh_edge(), self.fresh_edge())
         if not self.inner_vertices():
             raise InternalInvariantViolation("failed to create an inner vertex")
@@ -728,29 +719,37 @@ class _Rewriter:
 
     def handle_step(self, reserved: set, finished: set, w: Word):
         """``a u e v a' x e' y`` -> ``c d c' d' y x v u`` for the least open
-        pair a and the least open pair e that interleaves with it."""
+        pair a and the least open pair e that interleaves with it; a pair
+        that already reads as a handle ``a e a' e'`` is finished as it
+        stands."""
         n = len(w)
         pairs = self._pair_positions(w)
         open_edges = sorted(e for e in pairs if e not in reserved and e not in finished)
-        if not open_edges:
-            return None
-        a = open_edges[0]
-        i, j = pairs[a]
-        if w[i] == w[j]:
-            raise InternalInvariantViolation(
-                f"same-sign pair {a!r} survived the cross-cap step"
-            )
-        if w[i].sign < 0:
-            i, j = j, i
-        k = (j - i) % n
-        for e in open_edges[1:]:
-            j1, j2 = sorted((t - i) % n for t in pairs[e])
-            if (j1 < k) != (j2 < k):
+        while True:
+            if not open_edges:
+                return None
+            a = open_edges[0]
+            i, j = pairs[a]
+            if w[i] == w[j]:
+                raise InternalInvariantViolation(
+                    f"same-sign pair {a!r} survived the cross-cap step"
+                )
+            if w[i].sign < 0:
+                i, j = j, i
+            k = (j - i) % n
+            for e in open_edges[1:]:
+                j1, j2 = sorted((t - i) % n for t in pairs[e])
+                if (j1 < k) != (j2 < k):
+                    break
+            else:
+                raise InternalInvariantViolation(f"pair {a!r} interleaves with no open pair")
+            if w[(i + j2) % n] != w[(i + j1) % n].inv():
+                raise InternalInvariantViolation(f"pair {e!r} is not opposite-signed")
+            # a and e fill four cyclically adjacent letters: a formed handle
+            if sum(g == 1 for g in (j1, k - j1, j2 - k, n - j2)) < 3:
                 break
-        else:
-            raise InternalInvariantViolation(f"pair {a!r} interleaves with no open pair")
-        if w[(i + j2) % n] != w[(i + j1) % n].inv():
-            raise InternalInvariantViolation(f"pair {e!r} is not opposite-signed")
+            finished.update((a, e))
+            open_edges = [x for x in open_edges if x not in (a, e)]
         c = EdgeSym(self.fresh_edge(), 1)
         d = EdgeSym(self.fresh_edge(), 1)
         finished.update((c.name, d.name))
@@ -808,33 +807,23 @@ class _Rewriter:
         template = (c1, h, c1.inv(), 2, 3, 1)
         return s1, (3, k, k + 3), template, "group_loops", (repr(h), repr(w[(s2 + 1) % n]))
 
-    # -- final assembly --------------------------------------------------------
+    # -- the closing step --------------------------------------------------------
 
-    def assemble(self) -> NormalizationResult:
-        """Relabel the single face as the canonical word of the predicted form."""
+    def finish(self) -> NormalizationResult:
+        """The single face must read as the canonical word of the form the
+        invariants predict; one ``canonical_relabel`` move writes that word
+        on a face named A, unless the face already is exactly that."""
+        form = normal_form_from_invariants(*self.expected)
+        target = canonical_word(form)
         name = self.single_name()
         w = self.faces[name]
-        form = normal_form_from_invariants(*self.expected)
-        if not _reads_as(w, canonical_word(form)):
+        if not _reads_as(w, target):
             raise InternalInvariantViolation(f"final word is not canonical: {format_word(w)}")
-        self.mutate({name: canonical_word(form)}, "composite", "canonical_relabel", ())
-        return self.finish(form)
-
-    def finish(self, form: NormalForm) -> NormalizationResult:
-        """Every exit: the invariants must predict ``form`` and the last
-        face must be named A and read exactly ``canonical_word(form)``."""
-        predicted = normal_form_from_invariants(*self.expected)
-        if form != predicted:
-            raise InternalInvariantViolation(
-                f"normalized to {form}, invariants predict {predicted}"
-            )
-        name = self.single_name()
-        if name != "A":
-            self.mutate(
-                {name: None, "A": self.faces[name]}, "composite", "rename_face", (name,)
-            )
+        if (name, w) != ("A", target):
+            # one key, "A", when the face is already named A
+            self.mutate({name: None, "A": target}, "composite", "canonical_relabel", (name,))
         K = self.complex()
-        if K.faces != (("A", canonical_word(form)),):
+        if K.faces != (("A", target),):
             raise InternalInvariantViolation(
                 f"final complex {K.describe()} is not canonical for {form}"
             )
@@ -849,19 +838,13 @@ class _Rewriter:
 def normalize(K: CellComplex) -> NormalizationResult:
     """Drive K to its canonical cell complex; the trace records every step."""
     rw = _Rewriter(K)
-    rw.sweep_cancel()
-    if rw.is_sphere_state():
-        return rw.finish(NormalForm(TYPE_I, 0, 0))
     rw.reduce_inner_vertices()
-    if rw.is_sphere_state():
-        return rw.finish(NormalForm(TYPE_I, 0, 0))
-    rw.ensure_inner_vertex()
-    rw.reduce_border_vertices()
-    rw.merge_faces()
-    if rw.is_sphere_state():
-        return rw.finish(NormalForm(TYPE_I, 0, 0))
-    rw.shape_word()
-    return rw.assemble()
+    if not rw.is_sphere_state():
+        rw.ensure_inner_vertex()
+        rw.reduce_border_vertices()
+        rw.merge_faces()
+        rw.shape_word()
+    return rw.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +871,7 @@ def scramble_step(rw: _Rewriter, rng: random.Random):
     """
     candidates = [("p1", e) for e in sorted(rw.occurrences)]
     for name, w in rw.faces.items():
-        candidates += [("p2", name, p) for p in range(1, len(w))] if w else [("p2", name, 0)]
+        candidates += [("p2", name, 0, p) for p in range(1, len(w))] if w else [("p2", name, 0, 0)]
     # a two-member vertex reads (x, y) canonically with x before y; only
     # these, not every vertex, are put in canonical order
     borders, inners, _ = rw.complex()._vertex_runs or ((), (), ())

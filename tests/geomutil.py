@@ -54,6 +54,12 @@ def parse_points_reference(text):
     return pts
 
 
+def apply_map(m, pt):
+    """The image of the point pt under the affine map m."""
+    x, y = pt
+    return (m.a * x + m.b * y + m.e, m.c * x + m.d * y + m.f)
+
+
 def ifs_iterate_reference(sys, scene, n):
     """The per-primitive loop: every level's primitives are built from the
     previous level's, map-major, so each level checks its own segments."""
@@ -62,7 +68,7 @@ def ifs_iterate_reference(sys, scene, n):
         out = []
         for m in sys.maps:
             for prim in prims:
-                out.append(prim.replace(tuple(m.apply(v) for v in prim.vertices())))
+                out.append(prim.replace(tuple(apply_map(m, v) for v in prim.vertices())))
         prims = tuple(out)
     return Scene(prims)
 
@@ -79,7 +85,7 @@ def snowflake_reference(iters):
         ex, ey = (px + qx) / 2.0, (py + qy) / 2.0
         m = AffineMap2(ca, -cb, cb, ca, ex, ey)
         for prim in base.primitives:
-            prims.append(prim.replace(tuple(m.apply(v) for v in prim.vertices())))
+            prims.append(prim.replace(tuple(apply_map(m, v) for v in prim.vertices())))
     return Scene(tuple(prims))
 
 
@@ -144,7 +150,7 @@ def certify_convergence(sys, a0, steps, tol=1e-9):
     deltas = []
     for _ in range(steps):
         # every map's image of every point, first occurrences in order
-        nxt = list(dict.fromkeys(m.apply(p) for m in sys.maps for p in cur))
+        nxt = list(dict.fromkeys(apply_map(m, p) for m in sys.maps for p in cur))
         deltas.append(hausdorff_distance(cur, nxt))
         cur = nxt
     lam = sys.lam

@@ -102,8 +102,11 @@ def test_normalize_trace_of_scramble_matches_golden():
 PHASES = ("inner vertex reduction", "border vertex reduction", "cross-cap introduction",
           "handle introduction", "mixed conversion", "loop grouping")
 WORD_RULES = {
-    # make_handle, handle_crosscap_to_crosscaps, group_loops, rename_face
-    "handle_crosscap": ("x h x' a b a' b' y k y' c c z m z'", (1, 1, 1, 2, 2, 2)),
+    # the handle a b a' b' is formed already: handle_crosscap_to_crosscaps,
+    # group_loops, canonical_relabel
+    "handle_crosscap": ("x h x' a b a' b' y k y' c c z m z'", (1, 1, 1, 1, 2, 2)),
+    # make_handle on pairs that interleave apart: a u e v a' x e' y
+    "handle": ("a x h x' b a' y k y' b'", (1, 1, 1, 2, 1, 1)),
     # group_loops twice
     "loops": ("x h x' a a y k y' b b z m z' c c", (1, 1, 1, 1, 1, 3)),
     # make_crosscap on a separated pair: the slice between is inverted

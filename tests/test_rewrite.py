@@ -193,10 +193,10 @@ def test_is_canonical_agrees_with_the_block_reader_on_every_small_word():
         assert is_canonical(K) == (got and got[1]), format_word(w)
 
 
-def test_assemble_rejects_a_word_that_does_not_read_canonically():
+def test_finish_rejects_a_word_that_does_not_read_canonically():
     rw = _Rewriter(build({"A": "a b a b'"}))
     with pytest.raises(InternalInvariantViolation, match="final word is not canonical: a b a b'"):
-        rw.assemble()
+        rw.finish()
 
 
 def test_scramble_identity_and_determinism():

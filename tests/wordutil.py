@@ -1,6 +1,6 @@
 """Cyclic-word helpers used only as test oracles."""
 
-from surfclass.edgeword import EdgeSym, Word, rotate, sym_key
+from surfclass.edgeword import EdgeSym, Word, inverse_word, rotate, sym_key
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, _is_crosscap, _is_handle, _is_loop
 
 
@@ -18,6 +18,25 @@ def cyclic_equal(w1, w2) -> bool:
     if len(w1) != len(w2):
         return False
     return any(r == w2 for r in rotations(w1))
+
+
+def spelling(w):
+    """w with its edges renamed 0, 1, ... in order of first appearance,
+    each first appearance read with sign +1: two words spell alike iff
+    one reads as the other under a one-to-one renaming of edges."""
+    names = {}
+    out = []
+    for s in w:
+        k, sign = names.setdefault(s.name, (len(names), s.sign))
+        out.append((k, s.sign * sign))
+    return tuple(out)
+
+
+def least_spelling(w):
+    """Least spelling of the cyclic word w from any start, read either
+    way: two faces are the same face up to rotation, inversion and
+    renaming of edges iff their least spellings are equal."""
+    return min(spelling(r) for seq in (w, inverse_word(w)) for r in rotations(seq))
 
 
 def word_key(w):
