@@ -151,7 +151,3 @@ class RenderLimitError(SurfclassError):
 
 class PointOnCurveError(SurfclassError):
     code = "E_POINT_ON_CURVE"
-
-
-class RefinementLimitError(SurfclassError):
-    code = "E_REFINEMENT_LIMIT"

@@ -2,6 +2,8 @@
 on finite point sets, and winding numbers of closed polygonal curves.
 
 All coordinates are 64-bit floats; tolerances are stated per operation.
+A winding number is an exact count of signed crossings: its one
+tolerance is the distance within which a point counts as on the curve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .errors import (
     EmptySetError,
     NotContractingError,
     PointOnCurveError,
-    RefinementLimitError,
     RenderLimitError,
     UnknownPresetError,
 )
@@ -335,16 +336,26 @@ class ClosedCurve:
                 )
 
 
-MAX_BISECTIONS = 40
-RESIDUAL_TOL = 1e-6  # how far the angle sum, in turns, may be from an integer
+def _fixed(v: float) -> int:
+    """v * 2**1074 as an int, exactly: every finite float is a multiple of 2**-1074."""
+    n, d = v.as_integer_ratio()
+    return n * (1 << 1074) // d
 
 
 def winding_number(curve: ClosedCurve, z0) -> int:
-    """Turns of the curve around z0 by angle summation.
+    """Turns of the curve around z0: the signed number of times it crosses
+    the ray from z0 toward +x (Hormann & Agathos, Comput. Geom. 20, 2001).
 
-    Segments are bisected until every quotient w = (next-z0)/(cur-z0)
-    satisfies |w - 1| < 1, so each angle lies in (-pi/2, pi/2); the
-    angle sum is then an exact multiple of 2 pi up to roundoff.
+    A side from a to b counts +1 if it crosses upward (ay <= y0 < by) and
+    -1 if downward (by <= y0 < ay), where it meets the ray right of z0.
+    The rule is half-open so that a vertex on the ray counts once where
+    the curve passes through the ray and nets zero where it only touches
+    it; horizontal sides never count.  For a crossing side that is not
+    wholly left or right of z0, the sign of (b - a) x (z0 - a), exact in
+    integers, says on which side of it z0 lies.  The distance test first
+    rejects every z0 within eps of the curve, so that sign is nonzero; a
+    zero sign, if rounding ever let a point on a side through, raises the
+    same error.
     """
     pts = list(curve.points)
     x0, y0 = z0
@@ -378,30 +389,18 @@ def winding_number(curve: ClosedCurve, z0) -> int:
         if hypot(x0 - (ax + t * vx), y0 - (ay + t * vy)) <= eps:
             raise PointOnCurveError(f"point {z0} lies on the curve")
 
-    z = complex(x0, y0)
-    zs = [complex(x, y) for x, y in pts]
-    total = 0.0
-    for a, b in zip(zs, zs[1:] + zs[:1]):
-        w = (b - z) / (a - z)
-        if abs(w - 1.0) < 1.0:
-            total += math.atan2(w.imag, w.real)
-            continue
-        stack = [(a, b, 0)]
-        while stack:
-            u, v, depth = stack.pop()
-            w = (v - z) / (u - z)
-            if abs(w - 1.0) < 1.0:
-                total += math.atan2(w.imag, w.real)
-                continue
-            if depth >= MAX_BISECTIONS:
-                raise RefinementLimitError("bisection limit hit; adversarial input")
-            mid = (u + v) / 2.0
-            stack.append((mid, v, depth + 1))
-            stack.append((u, mid, depth + 1))
-    turns = total / (2.0 * math.pi)
-    nearest = round(turns)
-    if abs(turns - nearest) >= RESIDUAL_TOL:
-        raise RefinementLimitError(
-            f"angle sum {turns} is not close enough to an integer"
-        )
-    return int(nearest)
+    X0, Y0 = _fixed(x0), _fixed(y0)
+    count = 0
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        if (ay <= y0) == (by <= y0) or (x0 > ax and x0 > bx):
+            continue  # the side does not cross the line y = y0, or crosses it left of z0
+        up = y0 < by
+        if x0 >= ax or x0 >= bx:  # z0 lies within the side's x-range
+            AX, AY = _fixed(ax), _fixed(ay)
+            turn = (_fixed(bx) - AX) * (Y0 - AY) - (_fixed(by) - AY) * (X0 - AX)
+            if turn == 0:
+                raise PointOnCurveError(f"point {z0} lies on the curve")
+            if (turn > 0) != up:
+                continue  # the crossing lies left of z0
+        count += 1 if up else -1
+    return count

@@ -8,11 +8,16 @@ lists.  The SVG oracle writes one element per primitive, sharing no
 code with ``render_svg``'s writer, which reads the flat lists.
 ``certify_convergence`` checks the contraction theorem on point sets.
 ``parse_points_reference`` reads a point file one line at a time.
+``winding_reference`` sums turning angles, sharing no code with
+``winding_number``'s crossing count.
 """
 
 import math
+from sys import float_info
 
-from surfclass.errors import EmptySetError, FileFormatError, NotContractingError
+from surfclass.errors import (
+    EmptySetError, FileFormatError, NotContractingError, PointOnCurveError,
+)
 from surfclass.planegeom import (
     SQRT3, AffineMap2, Point, Polygon, Scene, Segment, hausdorff_distance, preset, preset_seed,
 )
@@ -163,3 +168,68 @@ def certify_convergence(sys, a0, steps, tol=1e-9):
         if deltas[n] > (lam ** n) * deltas[0] + tol:
             raise NotContractingError(f"geometric envelope violated at step {n}")
     return deltas
+
+
+class BisectionLimitError(Exception):
+    """The angle sum could not settle on an integer: the oracle gives no answer."""
+
+
+MAX_BISECTIONS = 40
+RESIDUAL_TOL = 1e-6  # how far the angle sum, in turns, may be from an integer
+
+
+def winding_reference(curve, z0) -> int:
+    """Turns of the curve around z0 by angle summation: the turning-angle
+    definition of the winding number.
+
+    Points within 1e-9 of the curve's diameter of it raise
+    PointOnCurveError, as in ``winding_number``.  Segments are bisected
+    until every quotient w = (next-z0)/(cur-z0) satisfies |w - 1| < 1, so
+    each angle lies in (-pi/2, pi/2); the angle sum is then an exact
+    multiple of 2 pi up to roundoff.
+    """
+    pts = list(curve.points)
+    x0, y0 = z0
+    minx, miny = min(x for x, _ in pts), min(y for _, y in pts)
+    maxx, maxy = max(x for x, _ in pts), max(y for _, y in pts)
+    hypot = math.hypot
+    if not math.isfinite(hypot(max(maxx, x0) - min(minx, x0), max(maxy, y0) - min(miny, y0))):
+        # near the float maximum: quarter every coordinate (exact), so no difference overflows
+        pts = [(math.ldexp(x, -2), math.ldexp(y, -2)) for x, y in pts]
+        box = (x0, y0, minx, miny, maxx, maxy)
+        x0, y0, minx, miny, maxx, maxy = (math.ldexp(v, -2) for v in box)
+    eps = 1e-9 * hypot(maxx - minx, maxy - miny)
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        vx, vy = bx - ax, by - ay
+        L2 = vx * vx + vy * vy
+        if float_info.min <= L2 <= float_info.max:
+            t = ((x0 - ax) * vx + (y0 - ay) * vy) / L2
+        else:  # the squared length under- or overflows: scale by the longest side
+            s = max(abs(vx), abs(vy))
+            ux, uy = vx / s, vy / s
+            t = ((x0 - ax) / s * ux + (y0 - ay) / s * uy) / (ux * ux + uy * uy)
+        t = min(1.0, max(0.0, t))
+        if hypot(x0 - (ax + t * vx), y0 - (ay + t * vy)) <= eps:
+            raise PointOnCurveError(f"point {z0} lies on the curve")
+
+    z = complex(x0, y0)
+    zs = [complex(x, y) for x, y in pts]
+    total = 0.0
+    for a, b in zip(zs, zs[1:] + zs[:1]):
+        stack = [(a, b, 0)]
+        while stack:
+            u, v, depth = stack.pop()
+            w = (v - z) / (u - z)
+            if abs(w - 1.0) < 1.0:
+                total += math.atan2(w.imag, w.real)
+                continue
+            if depth >= MAX_BISECTIONS:
+                raise BisectionLimitError("bisection limit hit; adversarial input")
+            mid = (u + v) / 2.0
+            stack.append((mid, v, depth + 1))
+            stack.append((u, mid, depth + 1))
+    turns = total / (2.0 * math.pi)
+    nearest = round(turns)
+    if abs(turns - nearest) >= RESIDUAL_TOL:
+        raise BisectionLimitError(f"angle sum {turns} is not close enough to an integer")
+    return int(nearest)

@@ -35,7 +35,7 @@ from surfclass.svg import render_svg
 
 from geomutil import (
     apply_map, certify_convergence, hausdorff_brute, ifs_iterate_reference, render_svg_reference,
-    snowflake_reference,
+    snowflake_reference, winding_reference,
 )
 
 
@@ -96,9 +96,10 @@ _primitives = st.one_of(
 )
 
 
-def _outcome(iterate, system, seed, n):
+def _outcome(f, *args):
+    """f(*args), or the class of the coded error it raises."""
     try:
-        return iterate(system, seed, n)
+        return f(*args)
     except SurfclassError as e:
         return type(e)
 
@@ -378,10 +379,48 @@ def test_winding_invariances():
         assert winding_number(ring, (r * math.cos(t), r * math.sin(t))) == 1
 
 
-def test_winding_needs_refinement():
-    # a long thin triangle hugging the query point forces bisection;
-    # this traversal runs clockwise around the origin
+def test_winding_of_a_thin_triangle():
+    # this traversal runs clockwise around the origin; the first query's
+    # ray runs along the top side, and every other query lies within the
+    # x-range of a side that crosses its ray, so the exact side test decides
     tri = ClosedCurve(((-10.0, 0.5), (10.0, 0.5), (0.0, -10.0)))
-    assert winding_number(tri, (0.0, 0.0)) == -1
-    rev = ClosedCurve(((0.0, -10.0), (10.0, 0.5), (-10.0, 0.5)))
-    assert winding_number(rev, (0.0, 0.0)) == 1
+    rev = ClosedCurve(tri.points[::-1])
+    for z0, n in (((-20.0, 0.5), 0), ((0.0, 0.0), -1), ((9.0, 0.0), -1), ((9.8, 0.0), 0),
+                  ((-9.8, 0.0), 0), ((0.0, 0.49), -1), ((0.0, -9.9), -1), ((0.1, -9.9), 0)):
+        assert winding_number(tri, z0) == n
+        assert winding_number(rev, z0) == -n
+
+
+def test_winding_equals_the_angle_sum_on_random_polygons():
+    rng = random.Random(23)
+    for _ in range(1500):
+        scale = 10.0 ** rng.uniform(-100, 100)
+        n = rng.randint(3, 12)
+        curve = ClosedCurve(tuple((rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale)
+                                  for _ in range(n)))
+        for _ in range(3):
+            z0 = (rng.uniform(-0.6, 0.6) * scale, rng.uniform(-0.6, 0.6) * scale)
+            assert _outcome(winding_number, curve, z0) == _outcome(winding_reference, curve, z0)
+
+
+def test_winding_equals_the_angle_sum_on_grid_polygons_with_sides_on_the_ray():
+    # vertices on y = 0 put vertices and horizontal sides on the ray of
+    # every query on that line; queries hit vertices, sides and the gaps
+    rng = random.Random(29)
+    queries = [(x / 2, 0.0) for x in range(-8, 9)] + [(x / 2, 0.5) for x in range(-8, 9)]
+    for _ in range(400):
+        n, pts = rng.randint(3, 10), []
+        while len(pts) < n:
+            p = (float(rng.randint(-3, 3)), float(rng.choice((-1, 0, 0, 0, 1, 2))))
+            if not pts or p != pts[-1]:
+                pts.append(p)
+        if pts[0] == pts[-1]:
+            continue
+        curve = ClosedCurve(tuple(pts))
+        on = pts + [((ax + bx) / 2, (ay + by) / 2)
+                    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        for z0 in queries + on:
+            assert _outcome(winding_number, curve, z0) == _outcome(winding_reference, curve, z0)
+        for z0 in on:
+            with pytest.raises(PointOnCurveError):
+                winding_number(curve, z0)
