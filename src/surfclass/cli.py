@@ -44,11 +44,12 @@ from .simplicial import (
 
 
 def _read(path: str) -> str:
+    """The file's text, without a leading UTF-8 byte-order mark."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as e:
-            # read() decodes the whole file at once, so e.start is its byte offset
+            # read() decodes the whole file at once, mark included, so e.start is its byte offset
             raise FileFormatError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
 
 
@@ -254,7 +255,11 @@ def _check_render_size(seed: int, maps: int, iters: int) -> None:
 def cmd_fractal_render(args, out):
     if args.iters < 0:
         raise UsageError("--iters must be nonnegative")
+    if args.preset and args.ifs:
+        raise UsageError("--preset and --ifs exclude each other")
     if args.preset == "snowflake":
+        if args.seed_file:
+            raise UsageError("--preset snowflake takes no --seed-file")
         # three copies of the iterated Koch curve
         koch = len(preset_seed("koch").template)
         _check_render_size(3 * koch, len(preset("koch").maps), args.iters)
@@ -326,11 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, json_flag=True, out_flag=True):
+    def common(p, json_flag=True):
         if json_flag:
             p.add_argument("--json", action="store_true", help="emit JSON")
-        if out_flag:
-            p.add_argument("--out", help="write results to a file instead of stdout")
+        p.add_argument("--out", help="write results to a file instead of stdout")
 
     p = sub.add_parser("validate", help="validate a cell-complex or simplicial file")
     p.add_argument("file")

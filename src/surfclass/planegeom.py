@@ -3,7 +3,8 @@ on finite point sets, and winding numbers of closed polygonal curves.
 
 All coordinates are 64-bit floats; tolerances are stated per operation.
 A winding number is an exact count of signed crossings: its one
-tolerance is the distance within which a point counts as on the curve.
+tolerance is the distance within which a point counts as on the curve,
+and that distance is compared exactly too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
-from sys import float_info
 
 from .errors import (
     DegenerateGeometryError,
@@ -350,57 +350,45 @@ def winding_number(curve: ClosedCurve, z0) -> int:
     -1 if downward (by <= y0 < ay), where it meets the ray right of z0.
     The rule is half-open so that a vertex on the ray counts once where
     the curve passes through the ray and nets zero where it only touches
-    it; horizontal sides never count.  For a crossing side that is not
-    wholly left or right of z0, the sign of (b - a) x (z0 - a), exact in
-    integers, says on which side of it z0 lies.  The distance test first
-    rejects every z0 within eps of the curve, so that sign is nonzero; a
-    zero sign, if rounding ever let a point on a side through, raises the
-    same error.
-    """
-    pts = list(curve.points)
-    x0, y0 = z0
-    minx, miny = maxx, maxy = pts[0]
-    for x, y in pts:
-        if x < minx:
-            minx = x
-        elif x > maxx:
-            maxx = x
-        if y < miny:
-            miny = y
-        elif y > maxy:
-            maxy = y
-    hypot = math.hypot
-    if not math.isfinite(hypot(max(maxx, x0) - min(minx, x0), max(maxy, y0) - min(miny, y0))):
-        # near the float maximum: quarter every coordinate (exact), so no difference overflows
-        pts = [(math.ldexp(x, -2), math.ldexp(y, -2)) for x, y in pts]
-        box = (x0, y0, minx, miny, maxx, maxy)
-        x0, y0, minx, miny, maxx, maxy = (math.ldexp(v, -2) for v in box)
-    eps = 1e-9 * hypot(maxx - minx, maxy - miny)
-    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-        vx, vy = bx - ax, by - ay
-        L2 = vx * vx + vy * vy
-        if float_info.min <= L2 <= float_info.max:
-            t = ((x0 - ax) * vx + (y0 - ay) * vy) / L2
-        else:  # the squared length under- or overflows: scale by the longest side
-            s = max(abs(vx), abs(vy))
-            ux, uy = vx / s, vy / s
-            t = ((x0 - ax) / s * ux + (y0 - ay) / s * uy) / (ux * ux + uy * uy)
-        t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
-        if hypot(x0 - (ax + t * vx), y0 - (ay + t * vy)) <= eps:
-            raise PointOnCurveError(f"point {z0} lies on the curve")
+    it; horizontal sides never count.  A point within eps, 1e-9 of the
+    curve's diameter (from quartered spans, which cannot overflow), of a
+    side raises PointOnCurveError.
 
-    X0, Y0 = _fixed(x0), _fixed(y0)
+    One pass takes each side.  If its ends' float gaps from z0 along one
+    axis, on one side of z0, both exceed 2 eps, it is over eps away: a
+    float difference is exact if subnormal, within a factor 1 + 2**-53 of
+    the exact one if normal, and over every float if it overflows, so
+    both exact gaps, and all between, exceed 2 eps / (1 + 2**-53) > eps.
+    Any other side is compared with eps exactly, in integers (coordinates
+    times 2**1074): with d = b - a and w = z0 - a, its point nearest z0 is
+    a if d.w <= 0, b if d.w >= |d|^2, and else the foot of z0, at distance
+    |d x w| / |d|.  If the side crosses y = y0, the sign of d x w (not 0:
+    z0 is not on the side) says on which side of it z0 lies.
+    """
+    pts = curve.points
+    x0, y0 = z0
+    xs, ys = zip(*pts)
+    eps = 4e-9 * math.hypot(max(xs) / 4 - min(xs) / 4, max(ys) / 4 - min(ys) / 4)
+    reach, X0, Y0, E2 = 2.0 * eps, _fixed(x0), _fixed(y0), _fixed(eps) ** 2
     count = 0
     for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-        if (ay <= y0) == (by <= y0) or (x0 > ax and x0 > bx):
-            continue  # the side does not cross the line y = y0, or crosses it left of z0
-        up = y0 < by
-        if x0 >= ax or x0 >= bx:  # z0 lies within the side's x-range
+        if (y0 - ay > reach and y0 - by > reach or ay - y0 > reach and by - y0 > reach
+                or x0 - ax > reach and x0 - bx > reach):
+            continue  # over eps below, above or left of z0: no crossing right of it
+        up, crosses = y0 < by, (ay <= y0) != (by <= y0)
+        if not (ax - x0 > reach and bx - x0 > reach):  # within reach of z0: decide exactly
             AX, AY = _fixed(ax), _fixed(ay)
-            turn = (_fixed(bx) - AX) * (Y0 - AY) - (_fixed(by) - AY) * (X0 - AX)
-            if turn == 0:
+            dx, dy, wx, wy = _fixed(bx) - AX, _fixed(by) - AY, X0 - AX, Y0 - AY
+            dot, L2, cross = dx * wx + dy * wy, dx * dx + dy * dy, dx * wy - dy * wx
+            if dot <= 0:
+                near = wx * wx + wy * wy <= E2
+            elif dot >= L2:
+                near = (wx - dx) ** 2 + (wy - dy) ** 2 <= E2
+            else:
+                near = cross * cross <= E2 * L2
+            if near:
                 raise PointOnCurveError(f"point {z0} lies on the curve")
-            if (turn > 0) != up:
-                continue  # the crossing lies left of z0
-        count += 1 if up else -1
+            crosses = crosses and (cross > 0) == up
+        if crosses:
+            count += 1 if up else -1
     return count

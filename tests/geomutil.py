@@ -9,10 +9,13 @@ code with ``render_svg``'s writer, which reads the flat lists.
 ``certify_convergence`` checks the contraction theorem on point sets.
 ``parse_points_reference`` reads a point file one line at a time.
 ``winding_reference`` sums turning angles, sharing no code with
-``winding_number``'s crossing count.
+``winding_number``'s crossing count.  ``distance2_reference`` is the
+squared distance from a point to a curve in rationals, sharing no code
+with ``winding_number``'s integer on-curve test.
 """
 
 import math
+from fractions import Fraction
 from sys import float_info
 
 from surfclass.errors import (
@@ -233,3 +236,27 @@ def winding_reference(curve, z0) -> int:
     if abs(turns - nearest) >= RESIDUAL_TOL:
         raise BisectionLimitError(f"angle sum {turns} is not close enough to an integer")
     return int(nearest)
+
+
+def on_curve_eps(curve) -> float:
+    """The on-curve tolerance that ``winding_number`` documents: 1e-9 of
+    the diameter of the curve's bounding box, from quartered spans."""
+    xs, ys = [x for x, _ in curve.points], [y for _, y in curve.points]
+    return 4e-9 * math.hypot(max(xs) / 4 - min(xs) / 4, max(ys) / 4 - min(ys) / 4)
+
+
+def segment_distance2_reference(a, b, z) -> Fraction:
+    """The exact squared distance from the point z to the closed segment
+    from a to b, for coordinates given as Fractions: z's projection on the
+    segment's line, clamped to the segment."""
+    (ax, ay), (bx, by), (zx, zy) = a, b, z
+    vx, vy = bx - ax, by - ay
+    t = min(1, max(0, ((zx - ax) * vx + (zy - ay) * vy) / (vx * vx + vy * vy)))
+    return (zx - ax - t * vx) ** 2 + (zy - ay - t * vy) ** 2
+
+
+def distance2_reference(curve, z) -> Fraction:
+    """The exact squared distance from the point z to the closed curve."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in curve.points]
+    z = (Fraction(z[0]), Fraction(z[1]))
+    return min(segment_distance2_reference(a, b, z) for a, b in zip(pts, pts[1:] + pts[:1]))

@@ -279,7 +279,7 @@ def one_coded_line(err, code):
     ("1e-170,3e-171", "", 1),
 ])
 def test_winding_on_a_curve_whose_squared_sides_underflow(files, capsys, point, out, code):
-    # a side of 1e-170 squares to 0.0: the projection onto it is scaled
+    # a side of 1e-170 squares to 0.0 as a float
     write, _ = files
     square = write("tiny.pts", "0,0\n1e-170,0\n1e-170,1e-170\n0,1e-170\n")
     assert run(["winding", square, "--point", point]) == code
@@ -371,7 +371,8 @@ def test_parse_ifs_rejects_non_finite_coefficients(files, capsys, bad):
 @pytest.mark.parametrize("data, offset", [
     (b"\xff\xfe" + "face A : a a'\n".encode("utf-16-le"), 0),  # a UTF-16 file with its BOM
     ("# côté\n".encode() + b"\xff\n", 9),
-], ids=["utf16", "byte9"])
+    (b"\xef\xbb\xbfab\xff\n", 5),  # counted from the start of the file, byte-order mark included
+], ids=["utf16", "byte9", "bom-byte5"])
 def test_non_utf8_input_is_one_coded_line(files, capsys, monkeypatch, argv, data, offset):
     write, tmp = files
     write("seg.pts", "0,0\n1,0\n")
@@ -383,6 +384,24 @@ def test_non_utf8_input_is_one_coded_line(files, capsys, monkeypatch, argv, data
     one_coded_line(err, "E_FILE_FORMAT")
     assert f"bad.in: byte {offset} is not UTF-8" in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("t.cc", TORUS_CC, ["classify", "{}", "--json"]),
+    ("t.tri", TRI_FILE, ["classify", "{}", "--json"]),
+    ("sq.pts", "0,0\n1,0\n1,1\n0,1\n", ["winding", "{}", "--point", "0.5,0.5"]),
+    ("maps.ifs", "0.5 0 0 0.5 0 0\n0.5 0 0 0.5 0.5 0\n",
+     ["fractal-render", "--ifs", "{}", "--seed-file", "seed.pts", "--iters", "2"]),
+], ids=["cc", "tri", "pts", "ifs"])
+def test_a_leading_byte_order_mark_is_skipped(files, capsys, monkeypatch, name, text, argv):
+    write, tmp = files
+    write("seed.pts", "0,0\n1,0\n")
+    monkeypatch.chdir(tmp)
+    results = []
+    for prefix in ("", "\ufeff"):
+        path = write(("bom-" if prefix else "") + name, prefix + text)
+        results.append((run([a.format(path) for a in argv]), capsys.readouterr()))
+    assert results[0][0] == 0 and results[0] == results[1]
 
 
 @pytest.mark.parametrize("maps, seed, iters, code", [
@@ -424,6 +443,22 @@ def test_fractal_render_rejects_negative_iters(files, capsys):
     assert run(["fractal-render", "--preset", "koch", "--iters", "-1", "--out", out_path]) == 2
     one_coded_line(capsys.readouterr().err, "E_USAGE")
     assert not (tmp / "g.svg").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--preset", "koch", "--ifs", "maps.ifs"], "--preset and --ifs exclude each other"),
+    (["--preset", "snowflake", "--ifs", "maps.ifs"], "--preset and --ifs exclude each other"),
+    (["--preset", "snowflake", "--seed-file", "seg.pts"], "--preset snowflake takes no --seed-file"),
+], ids=["koch-ifs", "snowflake-ifs", "snowflake-seed"])
+def test_fractal_render_rejects_inputs_it_would_ignore(files, capsys, monkeypatch, extra, message):
+    write, tmp = files
+    write("maps.ifs", "0.5 0 0 0.5 0 0\n0.5 0 0 0.5 0.5 0\n")
+    write("seg.pts", "0,0\n1,0\n")
+    monkeypatch.chdir(tmp)
+    assert run(["fractal-render", *extra, "--iters", "1", "--out", "o.svg"]) == 2
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", f"E_USAGE: {message}\n")
+    assert not (tmp / "o.svg").exists()
 
 
 def pinched_genus_two():

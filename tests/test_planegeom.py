@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +35,9 @@ from surfclass.planegeom import (
 from surfclass.svg import render_svg
 
 from geomutil import (
-    apply_map, certify_convergence, hausdorff_brute, ifs_iterate_reference, render_svg_reference,
-    snowflake_reference, winding_reference,
+    BisectionLimitError, apply_map, certify_convergence, distance2_reference, hausdorff_brute,
+    ifs_iterate_reference, on_curve_eps, render_svg_reference, snowflake_reference,
+    winding_reference,
 )
 
 
@@ -345,7 +347,7 @@ def test_winding_of_a_square_at_any_scale(scale):
 
 
 def test_winding_near_the_float_maximum():
-    # spans of 2e308 overflow unless every coordinate is scaled down first
+    # spans of 2e308 overflow a float
     m = 1e308
     square = ClosedCurve(((-m, -m), (m, -m), (m, m), (-m, m)))
     assert winding_number(square, (0.0, 0.0)) == 1
@@ -424,3 +426,73 @@ def test_winding_equals_the_angle_sum_on_grid_polygons_with_sides_on_the_ray():
         for z0 in on:
             with pytest.raises(PointOnCurveError):
                 winding_number(curve, z0)
+
+
+ON_CURVE_FACTORS = (0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0, 3.0)
+
+
+def _queries_near_a_side(rng, a, b, eps):
+    """For each f in ON_CURVE_FACTORS, points f * eps from the line through
+    a and b, or from one of its ends: off a random interior point, along
+    the line past each end, along each axis from a and along a random axis
+    from b, and off the line a side's length before a."""
+    (ax, ay), (bx, by) = a, b
+    hx, hy = bx / 2 - ax / 2, by / 2 - ay / 2  # half the side, which cannot overflow
+    h = math.hypot(hx, hy)
+    ux, uy = hx / h, hy / h
+    t = rng.random()
+    mx, my = ax * (1 - t) + bx * t, ay * (1 - t) + by * t
+    for f in ON_CURVE_FACTORS:
+        r, s = f * eps, rng.choice((-1, 1))
+        yield mx - s * r * uy, my + s * r * ux
+        yield ax - r * ux, ay - r * uy
+        yield bx + r * ux, by + r * uy
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            yield ax + r * dx, ay + r * dy
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        yield bx + r * dx, by + r * dy
+        yield ax - 2 * hx - s * r * uy, ay - 2 * hy + s * r * ux
+
+
+def test_winding_on_curve_test_equals_the_exact_distance():
+    # random polygons, each moved so that the start of the side the
+    # queries are near is the origin, where distances along an axis from
+    # it are exact; and squares at the extremes of the float range
+    rng = random.Random(24)
+    cases = []
+    for _ in range(40):
+        scale = 10.0 ** rng.uniform(-150, 150)
+        n = rng.randint(3, 10)
+        pts = [(rng.uniform(-1, 1) * scale, rng.uniform(-1, 1) * scale) for _ in range(n)]
+        i = rng.randrange(n)
+        ox, oy = pts[i]
+        pts = [(x - ox, y - oy) for x, y in pts]
+        cases.append((pts, [i]))
+    for m in (1e308, 1e-170):
+        lo = -m if m > 1 else 0.0
+        cases.append(([(lo, lo), (m, lo), (m, m), (lo, m)], range(4)))
+    ties = checked = 0
+    for pts, sides in cases:
+        curve = ClosedCurve(tuple(pts))
+        eps = on_curve_eps(curve)
+        e2 = Fraction(eps) ** 2
+        for i in sides:
+            a, b = pts[i], pts[(i + 1) % len(pts)]
+            for z0 in _queries_near_a_side(rng, a, b, eps):
+                if not all(map(math.isfinite, z0)):
+                    continue
+                d2 = distance2_reference(curve, z0)
+                ties += d2 == e2
+                got = _outcome(winding_number, curve, z0)
+                if d2 <= e2:
+                    assert got is PointOnCurveError, (pts, z0)
+                    continue
+                assert isinstance(got, int), (pts, z0)
+                try:
+                    want = winding_reference(curve, z0)
+                except (PointOnCurveError, BisectionLimitError):
+                    continue  # the angle sum's float test or bisection cannot settle it
+                assert got == want, (pts, z0)
+                checked += 1
+    # the boundary itself was reached, and some counts were checked
+    assert ties > 0 and checked > 0
