@@ -27,11 +27,12 @@ from .errors import (
     NotASurfaceError,
     RenderLimitError,
     SurfclassError,
+    UnknownPresetError,
     UsageError,
 )
 from .intlinalg import group_format
 from .planegeom import ClosedCurve, Point, Scene, Segment, hausdorff_distance, ifs_iterate
-from .planegeom import preset, preset_seed, snowflake, winding_number
+from .planegeom import PRESET_NAMES, preset, preset_seed, snowflake, winding_number
 from .rewrite import normalize, scramble
 from .simplicial import (
     homology,
@@ -236,6 +237,8 @@ MAX_PRIMITIVES = 1_000_000
 # the self-test's time grows faster than the square of --moves: about
 # 4 s at 1,000 moves on samples/torus.cc (Python 3.11, 2 vCPUs)
 MAX_SCRAMBLE_MOVES = 1_000
+# every --preset: the IFS tables, and the snowflake of three Koch curves
+PRESETS = (*PRESET_NAMES, "snowflake")
 
 
 def _check_render_size(seed: int, maps: int, iters: int) -> None:
@@ -257,6 +260,10 @@ def cmd_fractal_render(args, out):
         raise UsageError("--iters must be nonnegative")
     if args.preset and args.ifs:
         raise UsageError("--preset and --ifs exclude each other")
+    if args.preset and args.preset not in PRESETS:
+        raise UnknownPresetError(
+            f"unknown preset {args.preset!r}; choose from {', '.join(PRESETS)}"
+        )
     if args.preset == "snowflake":
         if args.seed_file:
             raise UsageError("--preset snowflake takes no --seed-file")
@@ -365,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("fractal-render", help="iterate an IFS and render SVG")
-    p.add_argument("--preset", help="sierpinski-gasket, sierpinski-dragon, "
-                   "heighway, koch, hilbert, snowflake")
+    p.add_argument("--preset", help=", ".join(PRESETS))
     p.add_argument("--ifs", help="custom IFS coefficient file")
     p.add_argument("--iters", type=int, default=6)
     p.add_argument("--seed-file", help="seed points file (polyline)")

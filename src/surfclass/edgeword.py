@@ -199,19 +199,26 @@ def fresh_start(names) -> int:
     return top + 1
 
 
-def inverse_pair_at(w: Word):
-    """Index i of the first cyclically adjacent ``x x'`` pair, or None.
+def cancel_inverse_pairs(w: Word) -> Word:
+    """w with every cyclically adjacent ``x x'`` pair cancelled, the
+    letters left in their order: one stack pass cancels the pairs inside
+    the word, then trimming inverse ends cancels those across its wrap.
+    The cyclically reduced word is unique up to rotation.
 
-    >>> a, b = sym("a"), sym("b")
-    >>> inverse_pair_at((a, b, sym("b'")))
-    1
-    >>> inverse_pair_at((sym("a'"), b, a))
-    2
-    >>> inverse_pair_at((a, a)) is None
-    True
+    >>> format_word(cancel_inverse_pairs(parse_word("a b b' c a'")))
+    'c'
+    >>> format_word(cancel_inverse_pairs(parse_word("a x y y' x' a'")))
+    ''
+    >>> format_word(cancel_inverse_pairs(parse_word("a b a b'")))
+    "a b a b'"
     """
-    n = len(w)
-    for i in range(n):
-        if w[(i + 1) % n] == w[i].inv():
-            return i
-    return None
+    stack = []
+    for s in w:
+        if stack and stack[-1] == s.inv():
+            stack.pop()
+        else:
+            stack.append(s)
+    i, j = 0, len(stack)
+    while j - i >= 2 and stack[i] == stack[j - 1].inv():
+        i, j = i + 1, j - 1
+    return tuple(stack[i:j])

@@ -12,18 +12,19 @@ Two elementary moves generate the equivalence of cell complexes:
 handles ``a b a' b'`` (orientable) or cross-caps ``a a`` otherwise,
 followed by one loop ``c h c'`` per boundary circle.  A face's word is
 cyclic and reads either way, so rotating or reorienting it is no move.
-Every composite word rewrite (``x x'`` cancellation, cross-cap rule,
-handle rule, handle+cross-cap conversion, loop grouping, the closing
-canonical relabel) is one splice record: rotate the face's word to a
-start, cut it into slices and write a template of slices, inverted
+Each word rule (cross-cap rule, handle rule, handle+cross-cap
+conversion, loop grouping) is one splice record: rotate the face's word
+to a start, cut it into slices and write a template of slices, inverted
 slices and letters.  The word phases only choose the next record;
-``_Rewriter.splice`` applies it as a single trace step.
+``_Rewriter.splice`` applies it as a single trace step.  Two composite
+moves write a whole word instead: ``x x'`` cancellation, one move per
+face that holds a pair, and the closing canonical relabel.
 
 Every move, public or internal, runs on one engine: the public
-``apply_*``, ``scramble``, ``replay_trace`` and ``normalize`` all apply
-their moves through the same rewriter state, and each move is checked
-as strictly as :func:`build` plus a comparison of invariants, without
-rebuilding the complex.  The rewriter keeps an edge -> occurrence count
+``apply_*``, ``scramble`` and ``normalize`` all apply their moves
+through the same rewriter state, and each move is checked as strictly
+as :func:`build` plus a comparison of invariants, without rebuilding
+the complex.  The rewriter keeps an edge -> occurrence count
 map, updated from the move's before/after words; it checks the names
 of new faces and new edges and the multiplicity of every edge the move
 touches, then one pass of :func:`~surfclass.cellcomplex.count_invariants`
@@ -52,10 +53,10 @@ from .cellcomplex import (
 from .edgeword import (
     EdgeSym,
     Word,
+    cancel_inverse_pairs,
     contract_pair,
     format_word,
     fresh_start,
-    inverse_pair_at,
     inverse_word,
     merge_words,
     rotate,
@@ -127,21 +128,6 @@ class NormalizationResult:
     canonical_word: Word
     trace: tuple
     complex: CellComplex = None
-
-
-def replay_trace(K: CellComplex, trace) -> CellComplex:
-    """Re-apply a trace move by move; determinism/consistency oracle."""
-    rw = _Rewriter(K)
-    for m in trace:
-        for name, w in m.before:
-            if rw.faces.get(name) != w:
-                raise InternalInvariantViolation(
-                    f"trace does not match state at: {m.format()}"
-                )
-        changes = {name: None for name, _ in m.before}
-        changes.update(m.after)
-        rw.mutate(changes, m.kind, m.rule, m.args)
-    return build(rw.faces, internal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +483,13 @@ class _Rewriter:
     # -- step 1: cancel a a' ------------------------------------------------
 
     def sweep_cancel(self):
-        # faces are independent: clearing them in order cancels the same
-        # pairs, in the same order, as rescanning from the first face
-        for name in list(self.faces):
-            while (i := inverse_pair_at(w := self.faces[name])) is not None:
-                self.splice(name, i, (2,), (1,), "cancel_inverse_pair", (repr(w[i]),))
+        """One move per face that holds an ``x x'`` pair: it writes the
+        cancelled word, its arguments the cancelled edges by name."""
+        for name, w in list(self.faces.items()):
+            x = cancel_inverse_pairs(w)
+            if x != w:
+                gone = sorted({s.name for s in w} - {s.name for s in x})
+                self.mutate({name: x}, "composite", "cancel_inverse_pairs", tuple(gone))
                 self.spend("cancellation sweep")
 
     # -- vertex views ---------------------------------------------------------

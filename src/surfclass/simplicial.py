@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import combinations, count
 
 from .cellcomplex import CellComplex, build as build_complex, count_invariants
-from .edgeword import EdgeSym, fresh_start, inverse_pair_at, rotate, split_face, subst_p1
+from .edgeword import EdgeSym, cancel_inverse_pairs, fresh_start, split_face, subst_p1
 from .errors import DegenerateTriangleError, EdgeMultiplicityError, InternalInvariantViolation
 from .intlinalg import FgAbelianGroup, IntMatrix, _column, smith_normal_form
 from .intlinalg import cokernel, rank  # noqa: F401 - surfbench/spans.py wraps both here
@@ -368,9 +368,7 @@ def _cancelled_faces(K: CellComplex) -> tuple:
     fresh = map("_g{}".format, count(fresh_start([*K.edges, *K.face_map])))
     faces = {}
     for name, w in K.faces:
-        while (i := inverse_pair_at(w)) is not None:
-            w = rotate(w, i)[2:]
-        faces[name] = w
+        faces[name] = w = cancel_inverse_pairs(w)
     if len(faces) == 1 and not w:
         faces = dict(zip((name, f"{name}_l"), split_face(w, 0, next(fresh))))
     return faces, fresh

@@ -226,7 +226,16 @@ def test_fractal_render_point_seed_circles(files, capsys):
 def test_fractal_render_unknown_preset(files, capsys):
     code = run(["fractal-render", "--preset", "nope", "--iters", "1"])
     assert code == 1
-    assert "E_UNKNOWN_PRESET" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("E_UNKNOWN_PRESET: ") and err.count("\n") == 1
+    # the message names every accepted preset, and each of them renders
+    names = err.split("choose from ")[1].strip().split(", ")
+    assert sorted(names) == [
+        "heighway", "hilbert", "koch", "sierpinski-dragon", "sierpinski-gasket", "snowflake",
+    ]
+    for name in names:
+        assert run(["fractal-render", "--preset", name, "--iters", "1"]) == 0, name
+        assert capsys.readouterr().out.startswith("<svg"), name
 
 
 def test_hausdorff_cli(files, capsys):

@@ -3,15 +3,15 @@ from hypothesis import given, strategies as st
 
 from surfclass.edgeword import (
     EdgeSym,
+    cancel_inverse_pairs,
     format_word,
-    inverse_pair_at,
     inverse_word,
     parse_word,
     rotate,
     sym,
 )
 from surfclass.errors import MalformedTokenError
-from wordutil import cyclic_equal
+from wordutil import cancel_reference, cyclic_equal
 
 
 def W(text):
@@ -83,8 +83,22 @@ def test_sym_accepts_generated_names():
 few_syms = st.builds(EdgeSym, st.sampled_from(["a", "b"]), st.sampled_from([1, -1]))
 
 
-@given(st.lists(few_syms, max_size=6).map(tuple))
-def test_inverse_pair_at_matches_brute_force(w):
-    closed = w + w[:1]  # the last letter is followed by the first
-    pairs = [i for i in range(len(w)) if closed[i + 1] == closed[i].inv()]
-    assert inverse_pair_at(w) == (pairs[0] if pairs else None)
+@given(st.lists(few_syms, max_size=10).map(tuple))
+def test_cancel_inverse_pairs_matches_the_rescanning_loop(w):
+    got = cancel_inverse_pairs(w)
+    # the same cyclic word as cancelling the first pair until none is left
+    assert cyclic_equal(got, cancel_reference(w))
+    # the letters left keep their order in w
+    rest = iter(w)
+    assert all(s in rest for s in got)
+    # no cyclically adjacent x x' is left, across the wrap included
+    assert not any(got[(i + 1) % len(got)] == s.inv() for i, s in enumerate(got))
+
+
+def test_cancel_inverse_pairs_examples():
+    assert cancel_inverse_pairs(W("a b b' a'")) == ()
+    assert cancel_inverse_pairs(W("a' b c a")) == W("b c")
+    assert cancel_inverse_pairs(W("a b a' b'")) == W("a b a' b'")
+    assert cancel_inverse_pairs(W("a a")) == W("a a")
+    assert cancel_inverse_pairs(W("a")) == W("a")
+    assert cancel_inverse_pairs(()) == ()

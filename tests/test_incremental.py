@@ -1,10 +1,9 @@
 """The per-move check of the move engine against a full ``build``.
 
-``_Rewriter.mutate`` applies every move of ``normalize``, ``scramble``,
-``replay_trace`` and the public ``apply_*``.  It keeps edge occurrence
-counts up to date from each move's before/after words, checks names and
-multiplicity on the changed faces only, and counts the invariants in
-one pass.  These tests hold it to what ``build`` and
+``_Rewriter.mutate`` applies every move of ``normalize``, ``scramble``
+and the public ``apply_*``.  It keeps edge occurrence counts up to date
+from each move's before/after words, checks names and multiplicity on
+the changed faces only, and counts the invariants in one pass.  These tests hold it to what ``build`` and
 ``invariant_report`` say about the same faces.
 """
 

@@ -131,3 +131,13 @@ def test_normalize_of_a_canonical_complex_makes_no_move():
         moves = normalize(make_canonical(form)).trace
         # the disc's word c1 h1 c1' holds the cyclic x x' pair c1' c1
         assert bool(moves) == (form == NormalForm(TYPE_I, 0, 1)), form
+
+
+def test_nested_pairs_cancel_in_one_move():
+    # x0 ... x1999 x1999' ... x0' a b a' b': the cancellation rescanned
+    # the word once per pair; now it is one move for the whole face
+    xs = [f"x{i}" for i in range(2000)]
+    word = " ".join(xs + [x + "'" for x in reversed(xs)] + ["a b a' b'"])
+    trace = normalize(build({"A": word})).trace
+    assert [m.rule for m in trace] == ["cancel_inverse_pairs", "canonical_relabel"]
+    assert trace[0].args == tuple(sorted(xs))

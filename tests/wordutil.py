@@ -13,6 +13,16 @@ def rotations(w):
         yield rotate(w, k)
 
 
+def cancel_reference(w):
+    """w with its first cyclically adjacent ``x x'`` pair cancelled, the
+    word rotated to start after it, until no pair is left."""
+    while True:
+        i = next((i for i, s in enumerate(w) if w[(i + 1) % len(w)] == s.inv()), None)
+        if i is None:
+            return w
+        w = rotate(w, i)[2:]
+
+
 def cyclic_equal(w1, w2) -> bool:
     """True iff some rotation of w1 equals w2 symbol-for-symbol."""
     if len(w1) != len(w2):
