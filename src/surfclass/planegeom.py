@@ -25,6 +25,7 @@ from .errors import (
 )
 
 SQRT3 = math.sqrt(3.0)
+_Y, _YX = operator.itemgetter(1), operator.itemgetter(1, 0)
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,9 @@ def _iterate(rounds, scene: Scene) -> Scene:
     """The scene's flat x and y lists under each round of maps: a round
     writes each map's image of the whole list in turn, so every copy stays
     one block of k vertices in template order, copy-major.  At the last
-    round the first segment in copy-major order whose ends coincide is
-    named; then a coordinate that is not finite raises RenderLimitError."""
+    round the first segment in copy-major order whose ends coincide (equal
+    x, then equal y) is named; then a coordinate that is not finite raises
+    RenderLimitError.  A finite float sum of the coordinates proves all finite."""
     xs, ys = scene.xs, scene.ys
     for maps in rounds:
         xs, ys = ([m.a * x + m.b * y + m.e for m in maps for x, y in zip(xs, ys)],
@@ -155,12 +157,12 @@ def _iterate(rounds, scene: Scene) -> Scene:
     firsts = [n]
     for prim, lo in zip(out.template, out.offsets):
         if isinstance(prim, Segment):
-            same = map(operator.eq, zip(xs[lo::k], ys[lo::k]), zip(xs[lo + 1::k], ys[lo + 1::k]))
-            firsts.append(next(compress(range(lo, n, k), same), n))
+            xeq = compress(range(lo, n, k), map(operator.eq, xs[lo::k], xs[lo + 1::k]))
+            firsts.append(next((i for i in xeq if ys[i] == ys[i + 1]), n))
     i = min(firsts)
     if i < n:
         raise DegenerateGeometryError(f"segment endpoints coincide at {(xs[i], ys[i])}")
-    if not all(map(math.isfinite, chain(xs, ys))):
+    if not (math.isfinite(sum(xs, 0.0) + sum(ys, 0.0)) or all(map(math.isfinite, chain(xs, ys)))):
         raise RenderLimitError("an iterated coordinate overflows: it is not a finite float")
     return out
 
@@ -174,15 +176,15 @@ def ifs_iterate(sys: IFS, scene: Scene, n: int) -> Scene:
 
 
 def _scan(strip, p, gap, best, near, bound):
-    """(distance, point) of the strip's (y, x) point nearest p = (py, px),
-    or (best, near) if none is nearer, walking outward in y while
-    hypot(gap, dy) < best; stops once within bound."""
+    """(distance, point) of the strip's point nearest p, or (best, near) if
+    none is nearer, for a strip sorted by (y, x): walks outward in y from
+    p's place while hypot(gap, dy) < best, and stops once within bound."""
     hypot = math.hypot
-    py, px = p
-    t = bisect_left(strip, p)
+    px, py = p
+    t = bisect_left(strip, (py, px), key=_YX)
     for walk in (range(t, len(strip)), range(t - 1, -1, -1)):
         for i in walk:
-            qy, qx = q = strip[i]
+            qx, qy = q = strip[i]
             if hypot(gap, py - qy) >= best:
                 break
             d = hypot(px - qx, py - qy)
@@ -193,31 +195,31 @@ def _scan(strip, p, gap, best, near, bound):
     return best, near
 
 
-def _directed_hausdorff(P, P_yx, Q, Q_yx) -> float:
-    """max over p in P of min over q in Q of hypot(px - qx, py - qy), for
-    P and Q sorted by (x, y), and P_yx and Q_yx their points as (y, x).
+def _directed_hausdorff(P, Q, h=0.0) -> float:
+    """The larger of h and max over p in P of min over q in Q of
+    hypot(px - qx, py - qy), for P and Q sorted by (x, y).
 
-    Q is cut by (x, y) rank into strips of about sqrt|Q| points, each
-    sorted by (y, x), and P is split at the strips' heads.  Strip by strip,
-    P's points are taken in (y, x) order, each starting from its distance
-    to the previous query's nearest point.  A query walks strips outward in
-    x and stops within the running maximum, which it cannot raise (Taha &
-    Hanbury, TPAMI 2015).  Every bound is built from the same coordinate
-    differences as the distances, so the result equals a brute-force scan's.
+    Q is cut by (x, y) rank into strips of about sqrt|Q| points, and P is
+    split at the strips' heads.  Each strip, and each strip's share of P,
+    is a slice in (x, y) order, so a stable sort by y puts it in (y, x)
+    order.  Each query starts from its distance to the previous query's
+    nearest point, walks strips outward in x, and stops within the running
+    maximum, which starts at h and which it cannot raise (Taha & Hanbury,
+    TPAMI 2015).  Every bound is built from the same coordinate differences
+    as the distances, so the result equals a brute-force scan's.
     """
     hypot = math.hypot
     size = math.isqrt(len(Q))
     cuts = range(0, len(Q), size)
-    strips = [sorted(Q_yx[i:i + size]) for i in cuts]
+    strips = [sorted(Q[i:i + size], key=_Y) for i in cuts]
     heads = [Q[i] for i in cuts]
     hi = [Q[min(i + size, len(Q)) - 1][0] for i in cuts]
     ends = [0, *[bisect_left(P, head) for head in heads[1:]], len(P)]
-    h = 0.0
     near = strips[0][0]
     for home, (lo, up) in enumerate(zip(ends, ends[1:])):
-        for p in sorted(P_yx[lo:up]):
-            py, px = p
-            best = hypot(px - near[1], py - near[0])
+        for p in sorted(P[lo:up], key=_Y):
+            px, py = p
+            best = hypot(px - near[0], py - near[1])
             if best <= h:
                 continue
             best, near = _scan(strips[home], p, 0.0, best, near, h)
@@ -234,12 +236,13 @@ def _directed_hausdorff(P, P_yx, Q, Q_yx) -> float:
 
 
 def hausdorff_distance(A, B) -> float:
-    """max-min distance both ways between nonempty finite point sets."""
+    """max-min distance both ways between nonempty finite point sets; the
+    direction with more queries runs first, and the other starts from its maximum."""
     A, B = sorted(map(tuple, A)), sorted(map(tuple, B))
     if not A or not B:
         raise EmptySetError("Hausdorff distance needs nonempty sets")
-    A_yx, B_yx = [(y, x) for x, y in A], [(y, x) for x, y in B]
-    return max(_directed_hausdorff(A, A_yx, B, B_yx), _directed_hausdorff(B, B_yx, A, A_yx))
+    A, B = (A, B) if len(A) >= len(B) else (B, A)
+    return _directed_hausdorff(B, A, _directed_hausdorff(A, B))
 
 
 # ---------------------------------------------------------------------------

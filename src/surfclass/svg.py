@@ -5,14 +5,15 @@ formatted with a fixed precision and nothing environmental (time,
 versions, ids) is embedded.  The viewBox is the scene bounding box
 padded by 5%; points render as small circles, segments and polygons as
 paths.  The y axis is flipped so +y is up, as in the plane.  The writer
-reads the scene's flat coordinate lists, formats each coordinate once,
-and writes one element per template slot and copy, copy-major.
+formats each coordinate of the scene's flat lists once, lays each
+template slot's literal text, repeated, between strided columns of its
+coordinates, and joins the pieces copy-major: no element is formatted.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain
+from itertools import chain, repeat
 
 from .planegeom import Point, Polygon, Scene, Segment
 
@@ -38,23 +39,24 @@ def render_svg(scene: Scene) -> str:
     fmt = _Formatted()
     xy = [list(map(fmt.__getitem__, scene.xs)),
           list(map(fmt.__getitem__, map(operator.neg, scene.ys)))]
-    k, columns = scene.offsets[-1], []
+    k, pieces = scene.offsets[-1], []
     for prim, lo, hi in zip(scene.template, scene.offsets, scene.offsets[1:]):
         if isinstance(prim, Point):
-            form = f'<circle fill="black" cx="{{}}" cy="{{}}" r="{fmt[radius]}"/>'
+            form = f'<circle fill="black" cx="{{}}" cy="{{}}" r="{fmt[radius]}"/>\n'
         elif isinstance(prim, Segment):
-            form = '<path d="M {} {} L {} {}"/>'
+            form = '<path d="M {} {} L {} {}"/>\n'
         elif isinstance(prim, Polygon):
             d = " L ".join(["{} {}"] * (hi - lo))
-            form = f'<path fill="black" fill-opacity="0.9" d="M {d} Z"/>'
+            form = f'<path fill="black" fill-opacity="0.9" d="M {d} Z"/>\n'
         else:
             raise TypeError(f"unknown primitive {prim!r}")
-        # one column per slot: its element in every copy, from strided vertex slices
-        columns.append(map(form.format, *[c[j::k] for j in range(lo, hi) for c in xy]))
+        # the slot in every copy: its literal text, repeated, between coordinate columns
+        *seps, end = map(repeat, form.split("{}"))
+        pieces += [*chain(*zip(seps, [c[j::k] for j in range(lo, hi) for c in xy])), end]
     header = (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{fmt[vb[0]]} {fmt[vb[1]]} {fmt[vb[2]]} {fmt[vb[3]]}">\n'
         f'<g fill="none" stroke="black" stroke-width="{fmt[stroke]}" '
         'stroke-linecap="round">\n'
     )
-    return header + "\n".join(chain.from_iterable(zip(*columns))) + "\n</g>\n</svg>\n"
+    return header + "".join(chain.from_iterable(zip(*pieces))) + "</g>\n</svg>\n"

@@ -214,7 +214,7 @@ def test_criterion_9_hausdorff_metric_axioms():
         ]
         A, B, C = pts(), pts(), pts()
         dab = hausdorff_distance(A, B)
-        assert math.isclose(dab, hausdorff_distance(B, A), rel_tol=1e-12, abs_tol=1e-12)
+        assert dab == hausdorff_distance(B, A)
         assert hausdorff_distance(A, A) == 0.0
         if dab == 0.0:
             assert sorted(set(A)) == sorted(set(B))

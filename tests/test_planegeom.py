@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from surfclass import planegeom
 from surfclass.errors import (
+    DegenerateGeometryError,
     EmptySetError,
     NotContractingError,
     PointOnCurveError,
@@ -162,6 +163,30 @@ def test_ifs_iterate_rejects_non_finite_coordinates(row):
         ifs_iterate(system, seed, 6)
 
 
+def test_ifs_iterate_renders_finite_coordinates_whose_sum_overflows():
+    system = IFS((AffineMap2(0.5, 0, 0, 0.5, 8e307, 0), AffineMap2(0.5, 0, 0, 0.5, 8e307, 1)))
+    seed = Scene((Segment((1e308, 0.0), (1.5e308, 1.0)),))
+    scene = ifs_iterate(system, seed, 6)
+    assert math.isinf(sum(scene.xs))
+    assert render_svg(scene) == render_svg_reference(ifs_iterate_reference(system, seed, 6))
+
+
+def test_ifs_iterate_keeps_segments_whose_x_ends_are_equal():
+    gasket, seed = preset("sierpinski-gasket"), Scene((Segment((0.0, 0.0), (0.0, 1.0)),))
+    scene = ifs_iterate(gasket, seed, 3)
+    assert scene.xs[0::2] == scene.xs[1::2]
+    assert scene == ifs_iterate_reference(gasket, seed, 3)
+
+
+def test_ifs_iterate_names_the_first_degenerate_segment_in_copy_major_order():
+    # copy 0 flattens slot 1 onto (4, 0), copy 1 flattens slot 0 onto (0, 5)
+    system = IFS((AffineMap2(0.5, 0, 0, 0, 3.0, 0), AffineMap2(0, 0, 0, 0.5, 0, 5.0)))
+    seed = Scene((Segment((0.0, 0.0), (1.0, 0.0)), Segment((2.0, 0.0), (2.0, 1.0))))
+    for iterate in (ifs_iterate, ifs_iterate_reference):
+        with pytest.raises(DegenerateGeometryError, match=r"coincide at \(4\.0, 0\.0\)$"):
+            iterate(system, seed, 1)
+
+
 def test_hausdorff_examples():
     assert hausdorff_distance([(0, 0)], [(0, 0)]) == 0.0
     assert hausdorff_distance([(0, 0)], [(3, 0)]) == 3.0
@@ -178,10 +203,14 @@ def test_hausdorff_metric_axioms():
         ]
         A, B, C = pts(), pts(), pts()
         dab, dba = hausdorff_distance(A, B), hausdorff_distance(B, A)
-        assert math.isclose(dab, dba, rel_tol=1e-12, abs_tol=1e-12)
+        # a - b == -(b - a) exactly and hypot is even, so both ways agree exactly
+        assert dab == dba
         assert hausdorff_distance(A, A) == 0.0
         dac, dcb = hausdorff_distance(A, C), hausdorff_distance(C, B)
         assert dab <= dac + dcb + 1e-12 * max(1.0, dab)
+    # the smaller set's direction holds the maximum: the second pass raises it
+    A, B = [(0.0, 0.0), (10.0, 0.0)], [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)]
+    assert hausdorff_distance(A, B) == hausdorff_distance(B, A) == hausdorff_brute(A, B)
 
 
 _coord = st.floats(-2.0, 2.0)
@@ -252,20 +281,35 @@ def _work_guard_sets(family, n=10**4):
         return [(rng.random(), 0.0) for _ in range(n)], [(rng.random(), 0.0) for _ in range(n)]
     if family == "one outlier":
         return square()[1:] + [(1e6, 0.0)], square()
+    if family == "one hole":
+        # as in the benchmark: B is three copies of A, each point moved by at
+        # most 1e-3, plus the centre of A's empty disk, so m = 4 |A| + 1
+        A = []
+        while len(A) < n // 4:
+            x, y = rng.random(), rng.random()
+            if math.hypot(x - 0.5, y - 0.5) > 0.1:
+                A.append((x, y))
+        B = []
+        for x, y in A:
+            for _ in range(3):
+                r, t = 1e-3 * rng.random(), 2 * math.pi * rng.random()
+                B.append((x + r * math.cos(t), y + r * math.sin(t)))
+        return A, B + [(0.5, 0.5)]
     return square(), square(1000.0)
 
 
 @pytest.mark.parametrize(
-    "family", ["uniform", "vertical line", "horizontal line", "one outlier", "far squares"]
+    "family",
+    ["uniform", "vertical line", "horizontal line", "one outlier", "far squares", "one hole"],
 )
 def test_hausdorff_work_is_m_log_m(monkeypatch, family):
     A, B = _work_guard_sets(family)
     calls = Counter()
 
     def counted(name, f):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return f(*args)
+            return f(*args, **kwargs)
 
         return wrapper
 
@@ -275,6 +319,10 @@ def test_hausdorff_work_is_m_log_m(monkeypatch, family):
     m = len(A) + len(B)
     assert 0 < calls["hypot"] <= m * math.log2(m)
     assert 0 < calls["bisect"] <= m * math.log2(m)
+    if family == "one hole":
+        # B's copies within 1e-3 of A's points: the larger query set's
+        # maximum lets almost every query of the other stop at once
+        assert calls["hypot"] <= 2 * m
 
 
 def test_contraction_inequality_on_sets():
