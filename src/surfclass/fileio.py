@@ -8,19 +8,24 @@ Simplicial complex: one ``triangle v1 v2 v3`` per triangle, each vertex set once
 IFS: one map per line, six whitespace-separated finite decimals ``a b c d e f``.
 
 Point sets / curves: one ``x,y`` pair per line; ``#`` comments and blank lines.
+A clean ASCII file is read in one bulk pass; any other text is read line by
+line, which names the first bad line.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
 
 from .cellcomplex import CellComplex, build
 from .edgeword import NAME_RE, parse_word
 from .errors import FileFormatError
 from .planegeom import IFS, AffineMap2
 from .simplicial import SimplicialComplex2, build_simplicial
+
+
+# every ASCII byte but ',', '#' and the line breaks of str.splitlines
+_NOT_SEPARATORS = bytes(c for c in range(128) if chr(c) not in ",#\n\r\x0b\x0c\x1c\x1d\x1e")
 
 
 def _content_lines(text: str):
@@ -106,18 +111,25 @@ def parse_ifs(text: str) -> IFS:
 
 
 def parse_points(text: str) -> list:
-    lines = text.splitlines()
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    lines = list(filter(str.strip, lines))
-    # in bulk when every content line is one 'x,y' pair of finite floats
-    if set(map(str.count, lines, repeat(","))) == {1}:
+    """The points of a point file: in bulk when it is ASCII and its
+    separators (',', '#' and the ASCII breaks of str.splitlines) are one
+    ',' then one newline per line, the last newline optional; else line by
+    line, which alone names the first bad line.  Bulk is exact: every line
+    is then one 'a,b', on which the per-line reader calls float(a.lstrip())
+    and float(b.rstrip()); float strips the spaces it accepts and raises on
+    the rest, so bulk reads the same floats, -0.0 included, or falls back.
+    A finite sum proves every term finite; else each term is checked.
+    """
+    body = text.removesuffix("\n")
+    seps = body.encode().translate(None, _NOT_SEPARATORS) if body.isascii() else b""
+    if seps == b",\n" * (len(seps) // 2) + b",":
         try:
-            vs = list(map(float, ",".join(lines).split(",")))
+            vs = list(map(float, body.replace("\n", ",").split(",")))
         except ValueError:
-            vs = [math.inf]
-        if all(map(math.isfinite, vs)):
-            return list(zip(vs[0::2], vs[1::2]))
+            vs = [math.nan]
+        if math.isfinite(sum(vs)) or all(map(math.isfinite, vs)):
+            it = iter(vs)
+            return list(zip(it, it))
     # otherwise line by line, to name the first bad line
     pts = []
     for lineno, line in _content_lines(text):

@@ -332,11 +332,12 @@ class ClosedCurve:
         n = len(pts)
         if n < 3:
             raise DegenerateGeometryError(f"closed curve needs at least 3 points, got {n}")
-        for i, (p, q) in enumerate(zip(pts, pts[1:] + pts[:1])):
-            if p == q:
-                raise DegenerateGeometryError(
-                    f"consecutive curve points {i + 1} and {(i + 1) % n + 1} coincide at {p}"
-                )
+        same = list(map(operator.eq, pts, pts[1:] + pts[:1]))
+        if any(same):
+            i = same.index(True)
+            raise DegenerateGeometryError(
+                f"consecutive curve points {i + 1} and {(i + 1) % n + 1} coincide at {pts[i]}"
+            )
 
 
 def _fixed(v: float) -> int:

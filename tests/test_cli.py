@@ -246,6 +246,26 @@ def test_hausdorff_cli(files, capsys):
     assert float(capsys.readouterr().out) == 3.0
 
 
+def test_commented_crlf_point_files_give_the_clean_files_bytes(files, capsys):
+    # the clean files are read in bulk, the commented CRLF copies line by line
+    write, tmp = files
+    clean = "0,0\n0.5,-0.0\n1e-3,1\n0.25,0.75\n"
+    noisy = "# seed\r\n" + clean.replace("\n", "  # note\r\n").replace("0.25", "\t0.25")
+    (tmp / "noisy.pts").write_bytes(noisy.encode())
+    seeds = [write("clean.pts", clean), str(tmp / "noisy.pts")]
+    for seed in seeds:
+        assert run(["fractal-render", "--preset", "sierpinski-gasket", "--iters", "3",
+                    "--seed-file", seed, "--out", seed + ".svg"]) == 0
+    assert (tmp / "clean.pts.svg").read_bytes() == (tmp / "noisy.pts.svg").read_bytes()
+    other = write("b.pts", "# B\n\n3,0\n2,2 # far\n")
+    for flags in ([], ["--json"]):
+        outs = []
+        for a, b in ((seeds[0], write("b-clean.pts", "3,0\n2,2\n")), (seeds[1], other)):
+            assert run(["hausdorff", a, b] + flags) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].strip(), outs
+
+
 def test_winding_cli(files, capsys):
     write, _ = files
     square = write("sq.pts", "0,0\n1,0\n1,1\n0,1\n")

@@ -374,6 +374,23 @@ def test_winding_multiples():
         assert winding_number(curve, (0.0, 0.0)) == m
 
 
+@pytest.mark.parametrize("pts, message", [
+    # a middle pair, named before the later wrap pair
+    (((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)),
+     "consecutive curve points 2 and 3 coincide at (1.0, 0.0)"),
+    # only the wrap pair, from the last point back to the first
+    (((0.5, 2.0), (1.0, 0.0), (1.0, 1.0), (0.5, 2.0)),
+     "consecutive curve points 4 and 1 coincide at (0.5, 2.0)"),
+    # -0.0 equals 0.0, and the first point of the pair is the one printed
+    (((1.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (2.0, 0.0)),
+     "consecutive curve points 2 and 3 coincide at (0.0, -0.0)"),
+])
+def test_closed_curve_names_the_first_coinciding_pair(pts, message):
+    with pytest.raises(DegenerateGeometryError) as e:
+        ClosedCurve(pts)
+    assert str(e.value) == message
+
+
 def test_winding_outside_and_on_curve():
     square = ClosedCurve(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
     assert winding_number(square, (5.0, 5.0)) == 0
