@@ -17,6 +17,7 @@ vertices: cycles are inner vertices, paths are border vertices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -205,21 +206,25 @@ def _from_least(run) -> tuple:
 
 
 def count_invariants(words) -> tuple:
-    """(invariant report, face components, runs) of a list of face words,
-    counted in one integer pass.
+    """(invariant report, face components, runs, slot maps) of a list of
+    face words, counted in one integer pass.
 
-    Every edge must occur once or twice (:func:`build` checks that
-    first).  Slot k is the k-th letter over all words; its head end 2k
-    carries the letter and its tail end 2k+1 the inverse.  Corners pair
-    the head of a slot with the tail of the next slot of its face, and
-    the two slots of an inner edge glue their ends together.  Paths of
-    that end graph are border vertices and cycles inner vertices.  The
-    unglued ends, paired by slot and by border path, form one cycle per
-    contour.  One 2-colouring of the face graph over inner edges gives
+    Slot k is the k-th letter over all words; its head end 2k carries
+    the letter and its tail end 2k+1 the inverse.  Corners pair the head
+    of a slot with the tail of the next slot of its face, and the two
+    slots of an inner edge glue their ends together.  Paths of that end
+    graph are border vertices and cycles inner vertices.  The unglued
+    ends, paired by slot and by border path, form one cycle per contour.
+    One 2-colouring of the face graph over inner edges gives
     orientability and the face components: the component index of each
     face, numbered in face order.  The runs are the border paths, inner
-    cycles and contours as lists of ends, for the vertex and contour
-    views.
+    cycles and contours as lists of ends; the slot maps are (edge ->
+    first slot, edge -> last slot, slot -> face index).
+
+    This is the one check that every edge is in one or two slots: with
+    L letters and n1 edges, nb of them in one slot, L >= nb + 2 (n1 - nb)
+    = 2 n1 - nb, equal exactly when none is in three or more.  Else a
+    Counter names the first such edge, in first-occurrence order.
     """
     letters = [s for w in words for s in w]
     total = len(letters)
@@ -265,6 +270,9 @@ def count_invariants(words) -> tuple:
             adj[fv].append((fu, same))
         elif same:
             orientable = False
+    if total != 2 * len(last) - len(border):
+        e, n = next((e, n) for e, n in Counter(names).items() if n > 2)
+        raise EdgeMultiplicityError(e, n)
 
     # border vertices: paths from an unglued end, alternating corner / glue
     seen = bytearray(nends)
@@ -346,7 +354,7 @@ def count_invariants(words) -> tuple:
         n1=n1,
         n2=nfaces,
     )
-    return report, component, (paths, cycles, contours)
+    return report, component, (paths, cycles, contours), (first, last, face)
 
 
 def checked_complex(faces: tuple, counts: tuple) -> CellComplex:
@@ -361,8 +369,9 @@ def build(faces: Mapping[str, Word | str], internal: bool = False) -> CellComple
     """Validate and build a cell complex.
 
     ``faces`` maps face names to boundary words (tuples of EdgeSym or
-    text in word syntax).  Raises on empty input, edge multiplicity
-    other than 1 or 2, bad names, or a disconnected system.
+    text in word syntax).  Raises on empty input, then on a bad name,
+    edge multiplicity other than 1 or 2 (:func:`count_invariants`) or a
+    disconnected system, in that order.
     """
     if not faces:
         raise EmptyFaceSetError("a cell complex needs at least one face")
@@ -379,17 +388,12 @@ def build(faces: Mapping[str, Word | str], internal: bool = False) -> CellComple
             checked.add(s.name)
         items.append((name, tuple(w)))
     K = CellComplex(faces=tuple(items))
-
-    for e, occ in K.edge_occurrences.items():
-        if len(occ) not in (1, 2):
-            raise EdgeMultiplicityError(e, len(occ))
-
-    component = K._counts[1]
+    _, component, _, (first, _, face) = K._counts  # raises on multiplicity
     if any(component):
         parts = [[] for _ in range(max(component) + 1)]
         for (name, _), c in zip(K.faces, component):
             parts[c].append(name)
         for e in K.edges:
-            parts[component[K.edge_occurrences[e][0][0]]].append(e)
+            parts[component[face[first[e]]]].append(e)
         raise DisconnectedError(tuple(map(tuple, parts)))
     return K

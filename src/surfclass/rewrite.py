@@ -24,15 +24,14 @@ Every move, public or internal, runs on one engine: the public
 ``apply_*``, ``scramble`` and ``normalize`` all apply their moves
 through the same rewriter state, and each move is checked as strictly
 as :func:`build` plus a comparison of invariants, without rebuilding
-the complex.  The rewriter keeps an edge -> occurrence count
-map, updated from the move's before/after words; it checks the names
-of new faces and new edges and the multiplicity of every edge the move
-touches, then one pass of :func:`~surfclass.cellcomplex.count_invariants`
-over all faces gives connectivity and the (orientability, contour
-count, Euler characteristic) key.  A failed check re-runs ``build``,
-which raises the same error as for a complex built from scratch; a
-changed key raises InternalInvariantViolation.  The word surgery of
-the moves lives in :mod:`surfclass.edgeword`.
+the complex.  The rewriter checks the names of new faces and new
+edges; then one pass of :func:`~surfclass.cellcomplex.count_invariants`
+over all faces decides every edge's multiplicity, connectivity and the
+(orientability, contour count, Euler characteristic) key, and its slot
+maps are the edge views until the next move.  A failed check re-runs
+``build``, which raises the same error as for a complex built from
+scratch; a changed key raises InternalInvariantViolation.  The word
+surgery of the moves lives in :mod:`surfclass.edgeword`.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from .edgeword import (
 )
 from .errors import (
     BadPositionError,
+    EdgeMultiplicityError,
     EdgeNotFoundError,
     FaceNotFoundError,
     InfeasibleInvariantsError,
@@ -305,17 +305,16 @@ def normal_form_from_invariants(orientable: bool, q: int, euler: int) -> NormalF
 
 
 class _Rewriter:
-    """Mutable complex state: ordered face words, the edge -> occurrence
-    count map, the fresh-name counter and the move trace.  Every move,
-    public or internal, is applied and checked by :meth:`mutate`."""
+    """Mutable complex state: ordered face words, their counts (whose slot
+    maps give the edge views), the fresh-name counter and the move trace.
+    Every move, public or internal, is applied and checked by :meth:`mutate`."""
 
     def __init__(self, K: CellComplex):
         self.faces = dict(K.faces)
         self.trace = []
-        self.occurrences = {e: len(occ) for e, occ in K.edge_occurrences.items()}
-        self.counter = fresh_start([*self.occurrences, *self.faces])
-        self.expected = K.invariant_report().key()
-        self.counts = None  # count_invariants after the last move
+        self.counts = K._counts  # count_invariants of the current faces
+        self.counter = fresh_start([*self.counts[3][0], *self.faces])
+        self.expected = self.counts[0].key()
         total = sum(len(w) for w in self.faces.values()) + len(self.faces)
         self.budget = 600 + 80 * total
         self._cache = K
@@ -338,10 +337,13 @@ class _Rewriter:
         return self._cache
 
     def border_edges(self) -> set:
-        return {e for e, n in self.occurrences.items() if n == 1}
+        first, last, _ = self.counts[3]
+        return {e for e, u in first.items() if u == last[e]}
 
-    def inner_edges(self) -> set:
-        return {e for e, n in self.occurrences.items() if n == 2}
+    def inner_edges(self) -> dict:
+        """Inner edge -> its two slots, which on a single face are positions."""
+        first, last, _ = self.counts[3]
+        return {e: (u, last[e]) for e, u in first.items() if u != last[e]}
 
     def spend(self, phase: str):
         self.budget -= 1
@@ -367,7 +369,10 @@ class _Rewriter:
         self.trace.append(Move(kind, rule, args, before, after))
         self._cache = None
         self.check(before, after)
-        self.counts = report, component, _ = count_invariants(list(self.faces.values()))
+        try:
+            self.counts = report, component, *_ = count_invariants(list(self.faces.values()))
+        except EdgeMultiplicityError:
+            self.reject()
         if any(component):
             self.reject()
         if report.key() != self.expected:
@@ -377,44 +382,20 @@ class _Rewriter:
         return self
 
     def check(self, before: tuple, after: tuple):
-        """What :func:`build` checks, on the changed faces only: names of
-        new faces and new edges, and the multiplicity of every edge the
-        move touches; the edge occurrence counts follow the move."""
-        occ = self.occurrences
-        old = {n for n, _ in before}
-        ok = bool(self.faces)
-        touched = set()
-        for n, w in after:
-            if n not in old and not valid_name(n, internal=True):
-                ok = False
-            for s in w:
-                c = occ.get(s.name)
-                if c is None:
-                    c = 0
-                    if not valid_name(s.name, internal=True):
-                        ok = False
-                occ[s.name] = c + 1
-                touched.add(s.name)
-        for _, w in before:
-            for s in w:
-                occ[s.name] -= 1
-                touched.add(s.name)
-        for e in touched:
-            c = occ[e]
-            if c == 0:
-                del occ[e]
-            elif c > 2:
-                ok = False
-        if not ok:
+        """:func:`build`'s name checks on the changed faces: a face is left, and
+        new face names and new edge names (not in the before-words) are valid."""
+        new = {n for n, _ in after} - {n for n, _ in before}
+        new |= {s.name for _, w in after for s in w} - {s.name for _, w in before for s in w}
+        if not self.faces or not all(valid_name(n, internal=True) for n in new):
             self.reject()
 
     def joins(self) -> list:
         """(edge, face1, face2) for every edge on two distinct faces, by
         edge name, with face1 before face2 in face order."""
-        faces = self.faces.items()
-        first = {s.name: n for n, w in reversed(faces) for s in w}
-        last = {s.name: n for n, w in faces for s in w}
-        return [(e, first[e], last[e]) for e in sorted(last) if first[e] != last[e]]
+        first, last, face = self.counts[3]
+        names = list(self.faces)
+        pairs = ((e, face[first[e]], face[last[e]]) for e in sorted(first))
+        return [(e, names[f1], names[f2]) for e, f1, f2 in pairs if f1 != f2]
 
     def reject(self):
         """Raise the error :func:`build` gives for the current faces."""
@@ -495,7 +476,14 @@ class _Rewriter:
     # -- vertex views ---------------------------------------------------------
 
     def inner_vertices(self):
-        return [v for v in self.complex().vertices() if v.kind == INNER]
+        """Inner vertices in ``vertices()``'s order, each run as the walk
+        read it.  Exact, as every reader is blind to rotating or reversing
+        a run: the keep and small picks compare member counts, ties to
+        the first; ``_pick_pair`` takes the least of an inner run's set of
+        adjacent ordered pairs; the border steps test membership and
+        truthiness only.  Border runs stay canonical for ``p1_inverse``."""
+        order = self.complex()._vertex_order[0]
+        return [Vertex(INNER, tuple(r)) for kind, r in order if kind == INNER]
 
     def border_vertices(self):
         return [v for v in self.complex().vertices() if v.kind == BORDER]
@@ -605,7 +593,7 @@ class _Rewriter:
     # -- step 2b: border vertices into loop shape --------------------------------
 
     @staticmethod
-    def _is_loop_vertex(v: Vertex, inner_edges: set) -> bool:
+    def _is_loop_vertex(v: Vertex, inner_edges: dict) -> bool:
         m = v.members
         return len(m) == 3 and m[0] == m[2].inv() and m[1].name in inner_edges
 
@@ -657,13 +645,6 @@ class _Rewriter:
             out.add(v.members[1].name)
         return out
 
-    @staticmethod
-    def _pair_positions(w: Word) -> dict:
-        pos: dict = {}
-        for i, s in enumerate(w):
-            pos.setdefault(s.name, []).append(i)
-        return {e: p for e, p in pos.items() if len(p) == 2}
-
     def shape_word(self):
         """Steps 3 and 4 on the single face: four phases, each a chooser
         ``step(w)`` that returns the next splice record ``(start, cuts,
@@ -689,7 +670,7 @@ class _Rewriter:
     def crosscap_step(self, reserved: set, finished: set, w: Word):
         """``e x e y`` -> ``b b y' x`` for the least open same-sign pair e."""
         n = len(w)
-        pairs = self._pair_positions(w)
+        pairs = self.inner_edges()
         for e in sorted(pairs):
             if e in reserved or e in finished:
                 continue
@@ -711,7 +692,7 @@ class _Rewriter:
         that already reads as a handle ``a e a' e'`` is finished as it
         stands."""
         n = len(w)
-        pairs = self._pair_positions(w)
+        pairs = self.inner_edges()
         open_edges = sorted(e for e in pairs if e not in reserved and e not in finished)
         while True:
             if not open_edges:
@@ -857,7 +838,7 @@ def scramble_step(rw: _Rewriter, rng: random.Random):
     in canonical vertex order; P2 inverse on every edge by name that
     joins two faces.
     """
-    candidates = [("p1", e) for e in sorted(rw.occurrences)]
+    candidates = [("p1", e) for e in sorted(rw.counts[3][0])]
     for name, w in rw.faces.items():
         candidates += [("p2", name, 0, p) for p in range(1, len(w))] if w else [("p2", name, 0, 0)]
     # a two-member vertex reads (x, y) canonically with x before y; only

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from surfclass.cellcomplex import BORDER, INNER, NULL, build
+from surfclass.cellcomplex import BORDER, INNER, NULL, build, count_invariants
 from surfclass.edgeword import EdgeSym, parse_word, sym
 from surfclass.errors import (
     BadNameError,
@@ -55,6 +56,53 @@ def test_build_rejects_multiplicity():
     with pytest.raises(EdgeMultiplicityError) as e:
         build({"A": "a a a"})
     assert e.value.edge == "a" and e.value.count == 3
+
+
+def multiplicity_oracle(faces):
+    """(edge, count) of the first edge, in first-occurrence order, that
+    occurs more than twice, or None."""
+    counts = Counter(s.name for w in faces.values() for s in parse_word(w))
+    return next(((e, n) for e, n in counts.items() if n > 2), None)
+
+
+MULTIPLICITY_CASES = [
+    {"A": "a b a' b' a"},
+    # several offenders: the first to occur is reported, not the most frequent
+    {"A": "b a b a b a a"},
+    {"A": "c a b c a b c a b b"},
+    # an edge in four slots
+    {"A": "a b a' b' a a'"},
+    # offenders across faces
+    {"A": "a b", "B": "b' a'", "C": "a"},
+    {"A": "x y", "B": "y' x' z", "C": "z z' z x"},
+    {"A": "a b c", "B": "c' b'", "C": "b a' a a"},
+]
+
+
+@pytest.mark.parametrize("faces", MULTIPLICITY_CASES, ids=str)
+def test_build_reports_the_first_edge_over_two_slots(faces):
+    want = multiplicity_oracle(faces)
+    assert want is not None
+    with pytest.raises(EdgeMultiplicityError) as e:
+        build(faces)
+    assert (e.value.edge, e.value.count) == want
+    assert str(e.value) == f"edge {want[0]!r} occurs {want[1]} times; must be 1 or 2"
+    with pytest.raises(EdgeMultiplicityError):
+        count_invariants([parse_word(w) for w in faces.values()])
+
+
+def test_multiplicity_check_takes_its_place_between_names_and_connectivity():
+    # a bad name is reported before an edge in three slots ...
+    with pytest.raises(BadNameError):
+        build({"A": "a a a", "B!": "b b"})
+    with pytest.raises(BadNameError):
+        build({"A": (sym("a"),) * 3 + (EdgeSym("9x", 1),) * 2})
+    # ... and an edge in three slots before a disconnected system
+    with pytest.raises(EdgeMultiplicityError) as e:
+        build({"A": "a b", "B": "c c c"})
+    assert (e.value.edge, e.value.count) == ("c", 3)
+    with pytest.raises(DisconnectedError):
+        build({"A": "a b", "B": "c c"})
 
 
 def test_build_rejects_empty_and_disconnected():

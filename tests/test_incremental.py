@@ -1,16 +1,20 @@
 """The per-move check of the move engine against a full ``build``.
 
 ``_Rewriter.mutate`` applies every move of ``normalize``, ``scramble``
-and the public ``apply_*``.  It keeps edge occurrence counts up to date
-from each move's before/after words, checks names and multiplicity on
-the changed faces only, and counts the invariants in one pass.  These tests hold it to what ``build`` and
+and the public ``apply_*``.  It checks the names on the changed faces
+only, then one ``count_invariants`` pass over all faces decides every
+edge's multiplicity and counts the invariants; the rewriter's edge views
+read that pass's slot maps.  These tests hold it to what ``build`` and
 ``invariant_report`` say about the same faces.
 """
+
+from pathlib import Path
 
 import pytest
 
 from surfclass import rewrite
 from surfclass.cellcomplex import build, count_invariants
+from surfclass.classify import classify
 from surfclass.edgeword import EdgeSym, parse_word
 from surfclass.errors import (
     BadNameError,
@@ -19,6 +23,7 @@ from surfclass.errors import (
     EmptyFaceSetError,
     SurfclassError,
 )
+from surfclass.fileio import parse_cell_complex
 from surfclass.rewrite import (
     TYPE_II,
     NormalForm,
@@ -38,7 +43,15 @@ def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatc
     def checked(self, changes, kind, *args, **kwargs):
         real(self, changes, kind, *args, **kwargs)
         K = build(self.faces, internal=True)
-        assert self.occurrences == {e: len(o) for e, o in K.edge_occurrences.items()}
+        occ = K.edge_occurrences
+        names = [n for n, _ in K.faces]
+        assert self.border_edges() == {e for e, o in occ.items() if len(o) == 1}
+        assert set(self.inner_edges()) == {e for e, o in occ.items() if len(o) == 2}
+        assert self.joins() == [
+            (e, names[o[0][0]], names[o[1][0]])
+            for e, o in sorted(occ.items())
+            if len(o) == 2 and o[0][0] != o[1][0]
+        ]
         key = count_invariants(list(self.faces.values()))[0].key()
         assert key == K.invariant_report().key()
         # known by construction, independently of the counting pass
@@ -102,10 +115,20 @@ def faces_of(spec):
 
 
 BAD = (EdgeSym("9x", 1), EdgeSym("9x", -1))
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+# three faces, seven edges (two of them border edges)
+CC_TEXT = "face A : a b c d\nface B : d' b e e\nface C : c' a' f h\n"
 
 PARITY = {
     # an edge in three slots
     "multiplicity": ({"A": "a b a' b'"}, {"A": "a b a' b' a"}, EdgeMultiplicityError),
+    "four slots across two faces": (
+        {"A": "a b", "B": "b' a'"}, {"A": "a b a'", "B": "b' a' a"}, EdgeMultiplicityError,
+    ),
+    # the bad name is reported, not the extra slot
+    "bad name and extra slot": (
+        {"A": "a b a' b'"}, {"A": BAD + parse_word("a b a' b' a")}, BadNameError,
+    ),
     # a new face over a new edge of its own
     "disconnected": ({"A": "a b a' b'"}, {"B": "x x"}, DisconnectedError),
     "bad edge name": ({"A": "a b a' b'"}, {"A": BAD + parse_word("a b a' b'")}, BadNameError),
@@ -131,3 +154,14 @@ def test_mutate_raises_what_build_raises(case):
     with pytest.raises(cls) as got:
         rw.mutate(changes, "composite", "test", ())
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "path", [*sorted(SAMPLES.glob("*.cc")), None], ids=lambda p: p.name if p else "three-faces"
+)
+def test_a_valid_cc_is_classified_without_edge_occurrences(path):
+    # multiplicity is decided in the counting pass; the per-edge lists
+    # are built only for the views that ask for them
+    K = parse_cell_complex(path.read_text() if path else CC_TEXT)
+    assert classify(K).form == normalize(K).normal
+    assert "edge_occurrences" not in K.__dict__
