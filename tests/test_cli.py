@@ -673,3 +673,113 @@ def test_cached_parser_matches_separate_runs(files, capsys, monkeypatch):
     assert in_process == separate
     assert [c[0] for c in in_process] == [0, 2, 0]
     assert in_process[1][2].startswith("usage: surfclass ")
+
+
+# ---------------------------------------------------------------------------
+# failure paths: stdout, every stderr line and the exit code
+
+FIN_TRI = "triangle a b c\ntriangle a b d\ntriangle a b e\n"  # edge a b in three triangles
+SAMPLES = Path(__file__).parents[1] / "samples"
+
+
+def no_such_file(path):
+    return f"E_IO: [Errno 2] No such file or directory: {path!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{in}"],
+    ["fractal-render", "--ifs", "{in}", "--seed-file", "{in}", "--iters", "1", "--out", "o.svg"],
+], ids=["classify", "fractal-render"])
+def test_a_missing_input_is_one_io_line(files, capsys, monkeypatch, argv):
+    _, tmp = files
+    monkeypatch.chdir(tmp)
+    assert run([a.format(**{"in": "missing.in"}) for a in argv]) == 1
+    assert capsys.readouterr() == ("", no_such_file("missing.in"))
+    assert list(tmp.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{}"],
+    ["validate", "{}"],
+    ["fractal-render", "--preset", "koch", "--iters", "1"],
+], ids=["classify", "validate", "fractal-render"])
+def test_out_into_a_missing_directory_is_one_io_line(files, capsys, argv):
+    # fractal-render prints no 'wrote' note for the file it could not write
+    write, tmp = files
+    path = write("t.cc", TORUS_CC)
+    out_path = str(tmp / "nodir" / "o.txt")
+    assert run([a.format(path) for a in argv] + ["--out", out_path]) == 1
+    assert capsys.readouterr() == ("", no_such_file(out_path))
+
+
+@pytest.mark.parametrize("argv, status, code", [
+    (["validate", "bad.cc"], 1, "E_EDGE_MULTIPLICITY"),
+    (["classify", "bad.cc"], 1, "E_EDGE_MULTIPLICITY"),
+    (["normalize", "bad.cc", "--trace"], 1, "E_EDGE_MULTIPLICITY"),
+    (["homology", "bad.cc"], 1, "E_EDGE_MULTIPLICITY"),
+    (["hausdorff", "one.pts", "empty.pts"], 2, "E_FILE_FORMAT"),
+    (["winding", "one.pts", "--point", "0,1"], 1, "E_DEGENERATE_GEOMETRY"),
+], ids=["validate", "classify", "normalize", "homology", "hausdorff", "winding"])
+def test_a_failing_verb_creates_no_out_file(files, capsys, monkeypatch, argv, status, code):
+    write, tmp = files
+    write("bad.cc", BAD_CC)
+    write("one.pts", "0,0\n")
+    write("empty.pts", "# none\n")
+    monkeypatch.chdir(tmp)
+    assert run(argv + ["--out", "o.txt"]) == status
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    one_coded_line(cap.err, code)
+    assert not (tmp / "o.txt").exists()
+
+
+def test_validate_writes_its_refused_report_to_out(files, capsys):
+    write, tmp = files
+    path = write("fin.tri", FIN_TRI)
+    out_path = str(tmp / "report.txt")
+    assert run(["validate", path, "--out", out_path]) == 1
+    err = "E_NOT_A_SURFACE: D1: edge ('a', 'b') lies in 3 triangles\n"
+    assert capsys.readouterr() == ("", err)
+    report = (tmp / "report.txt").read_text(encoding="utf-8")
+    assert report.startswith("kind: simplicial\nclosed_surface: False\nbordered_surface: False\n")
+    assert report.endswith("border_circles: 1\nvertices: 5\nedges: 7\ntriangles: 3\n")
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr() == (report, err)
+    # a report that cannot be written leaves only the E_IO line
+    out_path = str(tmp / "nodir" / "report.txt")
+    assert run(["validate", path, "--out", out_path]) == 1
+    assert capsys.readouterr() == ("", no_such_file(out_path))
+
+
+def test_winding_point_that_is_not_two_numbers(files, capsys):
+    square = str(SAMPLES / "square.pts")
+    assert run(["winding", square, "--point", "abc"]) == 2
+    assert capsys.readouterr() == ("", "E_USAGE: --point expects 'x,y'\n")
+    assert run(["winding", square, "--point", "0.5,0.5", "--json"]) == 0
+    assert capsys.readouterr() == ('{"winding": 1}\n', "")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "need --preset or --ifs"),
+    (["--ifs", "maps.ifs"], "custom IFS needs --seed-file"),
+], ids=["no-system", "no-seed"])
+def test_fractal_render_without_a_system_or_seed(files, capsys, monkeypatch, extra, message):
+    write, tmp = files
+    write("maps.ifs", "0.5 0 0 0.5 0 0\n")
+    monkeypatch.chdir(tmp)
+    assert run(["fractal-render", *extra, "--iters", "1"]) == 2
+    assert capsys.readouterr() == ("", f"E_USAGE: {message}\n")
+
+
+@pytest.mark.parametrize("maps, message", [
+    ("0.5 0 0 0.5 0 0\n0.5 0 0 0.5 0\n", "line 2: expected 6 coefficients"),
+    ("# maps\n0.5 0 0 x 0 0\n", "line 2: bad coefficient"),
+    ("# no maps\n", "no maps in IFS file"),
+], ids=["five", "x", "comments"])
+def test_fractal_render_bad_ifs_file_is_one_coded_line(files, capsys, maps, message):
+    write, tmp = files
+    seed = write("s.pts", "0,0\n1,0\n")
+    argv = ["fractal-render", "--ifs", write("m.ifs", maps), "--seed-file", seed]
+    assert run(argv + ["--out", str(tmp / "o.svg")]) == 2
+    assert capsys.readouterr() == ("", f"E_FILE_FORMAT: {message}\n")
+    assert not (tmp / "o.svg").exists()

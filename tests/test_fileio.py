@@ -1,9 +1,11 @@
-"""The bulk point parser against the per-line reference."""
+"""File parsers: the bulk point parser against the per-line reference, and
+the IFS and triangulation readers' errors."""
 
 import math
 import random
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfclass import fileio
@@ -53,6 +55,23 @@ def test_parse_points_edge_texts():
     for text in texts:
         assert _outcome(parse_points, text) == _outcome(parse_points_reference, text)
     assert parse_points("# corners\r\n0,0\r\n\r\n 1 , 2 # right\r\n") == [(0.0, 0.0), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.5 0 0 0.5 0 0\n0.5 0 0 0.5 0\n", "line 2: expected 6 coefficients"),
+    ("# maps\n0.5 0 0 x 0 0\n", "line 2: bad coefficient"),
+    ("# no maps\n\n  # at all\n", "no maps in IFS file"),
+])
+def test_parse_ifs_names_the_bad_line(text, message):
+    with pytest.raises(FileFormatError) as info:
+        fileio.parse_ifs(text)
+    assert str(info.value) == message
+
+
+def test_parse_simplicial_of_comments_only():
+    with pytest.raises(FileFormatError) as info:
+        fileio.parse_simplicial("# a comment\n\n# and another\n")
+    assert str(info.value) == "no triangles in input"
 
 
 # long files of repr lines, the way the benchmark and most tools write them

@@ -6,6 +6,8 @@ from surfclass.cellcomplex import build
 from surfclass.edgeword import format_word, parse_word, sym
 from surfclass.errors import (
     BadPositionError,
+    EdgeNotFoundError,
+    FaceNotFoundError,
     InternalInvariantViolation,
     NameCollisionError,
     NotContractibleError,
@@ -125,6 +127,41 @@ def test_p2_chi_invariant_random():
             assert K2.euler_characteristic() == chi
 
 
+# three faces in a row: a and d lie on one face each, b joins A and B, c joins B and C
+STRIP = {"A": "a b", "B": "b' c", "C": "c' d"}
+
+
+@pytest.mark.parametrize("faces, move, args, error, message", [
+    (TORUS, apply_p1, ("z", "x", "y"), EdgeNotFoundError, "no edge 'z'"),
+    (TORUS, apply_p1_inverse, ("z", "a", "x"), EdgeNotFoundError, "must exist"),
+    (TORUS, apply_p1_inverse, ("a", "a'", "x"), NotContractibleError, "with itself"),
+    (TORUS, apply_p1_inverse, ("a", "b", "b"), NameCollisionError, "'b' already in use"),
+    (TORUS, apply_p2, ("Z", 1, "d"), FaceNotFoundError, "no face 'Z'"),
+    (TORUS, apply_p2, ("A", 1, "a"), NameCollisionError, "'a' already in use"),
+    (STRIP, apply_p2_inverse, ("A", "Z", "b"), FaceNotFoundError, "must exist"),
+    (STRIP, apply_p2_inverse, ("A", "B", "a"), NotMergeableError, "not shared by two faces"),
+    (STRIP, apply_p2_inverse, ("A", "B", "c"), NotMergeableError, "does not join 'A' and 'B'"),
+], ids=["p1-edge", "p1inv-edge", "p1inv-self", "p1inv-fresh", "p2-face", "p2-fresh",
+        "p2inv-face", "p2inv-one-face", "p2inv-other-faces"])
+def test_a_move_with_bad_arguments_raises_its_code_and_leaves_K(faces, move, args, error, message):
+    K = build(faces)
+    before = K.faces
+    with pytest.raises(error, match=message):
+        move(K, *args)
+    assert K.faces == before == build(faces).faces
+
+
+@pytest.mark.parametrize("args, message", [
+    (("III", 0, 0), "bad kind 'III'"),
+    ((TYPE_I, -1, 0), "p and q must be nonnegative"),
+    ((TYPE_I, 0, -1), "p and q must be nonnegative"),
+    ((TYPE_II, 0, 2), "type II requires p >= 1"),
+])
+def test_normal_form_rejects_bad_fields(args, message):
+    with pytest.raises(ValueError, match=message):
+        NormalForm(*args)
+
+
 def test_p2_inverse_rejects_self_merge():
     K = build({"A": "a b a' c"})
     with pytest.raises(NotMergeableError):
@@ -189,6 +226,7 @@ def test_is_canonical_examples():
     assert is_canonical(build(TORUS)) == NormalForm(TYPE_I, 1, 0)
     assert is_canonical(build({"A": "a a"})) == NormalForm(TYPE_II, 1, 0)
     assert is_canonical(build({"A": "a b a b'"})) is None
+    assert is_canonical(build({"A": "a b", "B": "b' a'"})) is None  # two faces
     assert is_canonical(build({"A": ""})) == NormalForm(TYPE_I, 0, 0)
     assert is_canonical(build({"A": "c h c'"})) == NormalForm(TYPE_I, 0, 1)
     assert is_canonical(make_canonical(NormalForm(TYPE_II, 2, 3))) == NormalForm(
