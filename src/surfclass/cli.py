@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Verbs: validate, classify, normalize, homology, refine, fractal-render,
-hausdorff, winding.  Results go to stdout (or --out); diagnostics go to
-stderr.  Exit status: 0 success, 1 domain error (invalid complex,
-infeasible input), 2 usage or parse error.
+hausdorff, winding.  Exit status: 0 success, 1 domain error (invalid
+complex, infeasible input, unwritable output), 2 usage or parse error.
+
+Each verb appends its text to a list and returns nothing or one note;
+``run`` writes the text once, after the verb returns, to the --out file
+(UTF-8) or to stdout, then the note to stderr.  A verb that fails writes
+nothing, except ``validate``, whose report on a triangulation that is no
+surface is written before its error.  Notes go to stderr.
 
 Every library error prints one line ``E_<CODE>: message`` so scripts
 can grep for the failure class.
@@ -54,25 +59,6 @@ def _read(path: str) -> str:
             raise FileFormatError(f"{path}: byte {e.start} is not UTF-8 ({e.reason})") from None
 
 
-class _Out:
-    """stdout or --out file collector."""
-
-    def __init__(self, path):
-        self.path = path
-        self.chunks = []
-
-    def write(self, text: str):
-        self.chunks.append(text)
-
-    def flush(self):
-        data = "".join(self.chunks)
-        if self.path:
-            with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(data)
-        else:
-            sys.stdout.write(data)
-
-
 def _load_surface(path: str):
     """(kind, object): cell complex or simplicial complex, by sniffing."""
     text = _read(path)
@@ -112,11 +98,8 @@ def cmd_validate(args, out):
         }
         if not (closed.ok or bordered.ok):
             _emit(payload, args, out)
-            out.flush()
             raise _not_a_surface(closed, bordered)
     _emit(payload, args, out)
-    out.flush()
-    return 0
 
 
 def _not_a_surface(closed, bordered) -> NotASurfaceError:
@@ -127,10 +110,9 @@ def _not_a_surface(closed, bordered) -> NotASurfaceError:
 
 def _emit(payload: dict, args, out):
     if args.json:
-        out.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        out.append(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
     else:
-        for k, v in payload.items():
-            out.write(f"{k}: {v}\n")
+        out.extend(f"{k}: {v}\n" for k, v in payload.items())
 
 
 def cmd_classify(args, out):
@@ -152,19 +134,15 @@ def cmd_classify(args, out):
     sc = classify_surface(obj)
     payload = to_json_dict(sc)
     if args.json:
-        out.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+        _emit(payload, args, out)
     else:
-        out.write(f"{sc.name}\n")
-        out.write(
+        out.append(
+            f"{sc.name}\n"
             f"orientable: {sc.orientable}  contours: {sc.q}  euler: {sc.euler}\n"
-        )
-        out.write(
             f"normal form: type {sc.form.kind}, p={sc.form.p}, q={sc.form.q} "
             f"({format_word(sc.canonical_word) or 'empty word'})\n"
+            f"genus: {sc.genus}  H1: {payload['h1']}\n"
         )
-        out.write(f"genus: {sc.genus}  H1: {payload['h1']}\n")
-    out.flush()
-    return 0
 
 
 def cmd_normalize(args, out):
@@ -185,8 +163,7 @@ def cmd_normalize(args, out):
     else:
         res = normalize(K)
     if args.trace:
-        for move in res.trace:
-            out.write(move.format() + "\n")
+        out.extend(move.format() + "\n" for move in res.trace)
     payload = {
         "type": res.normal.kind,
         "p": res.normal.p,
@@ -195,8 +172,6 @@ def cmd_normalize(args, out):
         "moves": len(res.trace),
     }
     _emit(payload, args, out)
-    out.flush()
-    return 0
 
 
 def cmd_homology(args, out):
@@ -220,16 +195,12 @@ def cmd_homology(args, out):
         "triangles": nt,
     }
     _emit(payload, args, out)
-    out.flush()
-    return 0
 
 
 def cmd_refine(args, out):
     K = fileio.parse_cell_complex(_read(args.file))
     _, simp = refine_to_triangulation(K)
-    out.write(fileio.format_simplicial(simp))
-    out.flush()
-    return 0
+    out.append(fileio.format_simplicial(simp))
 
 
 # a segment takes about 50 bytes of SVG, so this is a file of about 50 MB
@@ -288,28 +259,18 @@ def cmd_fractal_render(args, out):
             raise UsageError("custom IFS needs --seed-file")
         _check_render_size(len(seed_scene.template), len(system.maps), args.iters)
         scene = ifs_iterate(system, seed_scene, args.iters)
-    text = svg.render_svg(scene)
+    out.append(svg.render_svg(scene))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
         # the scene is nonempty, so a copy has vertices; count from the list lengths
         count = len(scene.template) * len(scene.xs) // scene.offsets[-1]
-        print(f"wrote {args.out} ({count} primitives)", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
+        return f"wrote {args.out} ({count} primitives)"
 
 
 def cmd_hausdorff(args, out):
     A = fileio.parse_points(_read(args.file_a))
     B = fileio.parse_points(_read(args.file_b))
     d = hausdorff_distance(A, B)
-    if args.json:
-        out.write(json.dumps({"hausdorff": d}) + "\n")
-    else:
-        out.write(f"{d!r}\n")
-    out.flush()
-    return 0
+    out.append(json.dumps({"hausdorff": d}) + "\n" if args.json else f"{d!r}\n")
 
 
 def cmd_winding(args, out):
@@ -322,12 +283,7 @@ def cmd_winding(args, out):
     if not finite:
         raise UsageError("--point expects 'x,y'")
     n = winding_number(ClosedCurve(tuple(pts)), (x, y))
-    if args.json:
-        out.write(json.dumps({"winding": n}) + "\n")
-    else:
-        out.write(f"{n}\n")
-    out.flush()
-    return 0
+    out.append(json.dumps({"winding": n}) + "\n" if args.json else f"{n}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,15 +361,35 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    out = _Out(getattr(args, "out", None))
+    out = []
     try:
-        return args.func(args, out)
-    except SurfclassError as e:
-        print(f"{e.code}: {e}", file=sys.stderr)
-        return e.exit_status
+        try:
+            note = args.func(args, out)
+        except SurfclassError as e:
+            if out:  # validate's report on a triangulation that is no surface
+                _deliver("".join(out), args.out)
+            print(f"{e.code}: {e}", file=sys.stderr)
+            return e.exit_status
+        _deliver("".join(out), args.out)
     except OSError as e:
         print(f"E_IO: {e}", file=sys.stderr)
         return 1
+    if note:
+        print(note, file=sys.stderr)
+    return 0
+
+
+def _deliver(text: str, path) -> None:
+    """Write a verb's output: to the --out file as UTF-8, or to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    try:
+        sys.stdout.write(text)  # encodes the whole text before it writes
+    except UnicodeEncodeError as e:
+        raise OSError(f"stdout's encoding {e.encoding} cannot write {e.object[e.start]!r}; "
+                      "use --out FILE, which is UTF-8") from None
 
 
 def main() -> None:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -783,3 +784,21 @@ def test_fractal_render_bad_ifs_file_is_one_coded_line(files, capsys, maps, mess
     assert run(argv + ["--out", str(tmp / "o.svg")]) == 2
     assert capsys.readouterr() == ("", f"E_FILE_FORMAT: {message}\n")
     assert not (tmp / "o.svg").exists()
+
+
+def test_an_ascii_stdout_gets_one_io_line_and_out_stays_utf8(files, capsys, monkeypatch):
+    # the wrapper encodes the whole text before it writes, so stdout stays empty
+    write, tmp = files
+    path = write("m.cc", MOBIUS_CC)
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii"))
+    for flags in ([], ["--json"]):
+        assert run(["classify", path, *flags]) == 1
+        sys.stdout.flush()
+        assert raw.getvalue() == b""
+        assert capsys.readouterr() == (
+            "", "E_IO: stdout's encoding ascii cannot write 'ö'; use --out FILE, which is UTF-8\n"
+        )
+    assert run(["classify", path, "--out", str(tmp / "m.txt")]) == 0
+    assert (tmp / "m.txt").read_bytes().startswith("Möbius strip\n".encode("utf-8"))
+    assert raw.getvalue() == b"" and capsys.readouterr() == ("", "")
