@@ -86,6 +86,9 @@ def test_normal_form_from_invariants():
         normal_form_from_invariants(True, 0, 1)
     with pytest.raises(InfeasibleInvariantsError):
         normal_form_from_invariants(False, 0, 2)
+    with pytest.raises(InfeasibleInvariantsError, match="^negative contour count -1$") as e:
+        normal_form_from_invariants(True, -1, 2)
+    assert e.value.code == "E_INFEASIBLE_INVARIANTS"
 
 
 def test_classify_form_matches_invariant_formula():

@@ -115,6 +115,28 @@ def test_normalize_selftest(files, capsys):
     assert "p: 1" in capsys.readouterr().out
 
 
+def test_normalize_selftest_that_finds_another_form_is_an_internal_error(files, capsys, monkeypatch):
+    # the first call normalizes the input, the second its scramble, which
+    # is made to come out as the genus-2 surface
+    write, _ = files
+    calls = []
+
+    def second_differs(K):
+        calls.append(K)
+        return real(K if len(calls) == 1 else make_canonical(NormalForm("I", 2, 0)))
+
+    real = cli.normalize
+    monkeypatch.setattr(cli, "normalize", second_differs)
+    assert run(["normalize", write("t.cc", TORUS_CC), "--seed", "1", "--moves", "5"]) == 1
+    captured = capsys.readouterr()
+    assert len(calls) == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "self-test: scrambled with seed 1 (5 moves)\n"
+        "E_INTERNAL: scrambled normal form differs\n"
+    )
+
+
 @pytest.mark.parametrize("moves", [-1, cli.MAX_SCRAMBLE_MOVES + 1])
 def test_normalize_rejects_moves_out_of_range(files, capsys, moves):
     write, _ = files

@@ -78,6 +78,15 @@ def test_divisibility_chain_enforced():
         FgAbelianGroup(0, (3, 4))
 
 
+@pytest.mark.parametrize("free_rank, torsion, message", [
+    (-1, (), "negative rank"),
+    (1, (1,), "torsion factors must be >= 2"),
+])
+def test_a_group_with_a_negative_rank_or_a_unit_factor_is_refused(free_rank, torsion, message):
+    with pytest.raises(ValueError, match=message):
+        FgAbelianGroup(free_rank, torsion)
+
+
 small = st.integers(-9, 9)
 
 

@@ -71,6 +71,27 @@ def test_preset_tables():
         preset("mandelbrot")
 
 
+def test_an_unknown_preset_has_no_seed():
+    with pytest.raises(UnknownPresetError, match="^no seed for preset 'nope'$") as e:
+        preset_seed("nope")
+    assert e.value.code == "E_UNKNOWN_PRESET"
+
+
+def test_a_polygon_needs_three_vertices():
+    with pytest.raises(DegenerateGeometryError, match="^polygon needs at least 3 vertices$") as e:
+        Polygon(((0.0, 0.0), (1.0, 0.0)))
+    assert e.value.code == "E_DEGENERATE_GEOMETRY"
+
+
+def test_render_svg_refuses_a_primitive_of_another_class():
+    class Dot:  # has vertices, so a Scene holds it, but the writer knows no text for it
+        def vertices(self):
+            return ((0.0, 0.0),)
+
+    with pytest.raises(TypeError, match="^unknown primitive "):
+        render_svg(Scene((Dot(),)))
+
+
 def test_ifs_iterate_counts_and_fixed_point():
     g = preset("sierpinski-gasket")
     one = ifs_iterate(g, Scene((Point(0.3, 0.4),)), 1)

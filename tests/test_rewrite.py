@@ -9,6 +9,7 @@ from surfclass.errors import (
     EdgeNotFoundError,
     FaceNotFoundError,
     InternalInvariantViolation,
+    MalformedTokenError,
     NameCollisionError,
     NotContractibleError,
     NotMergeableError,
@@ -136,13 +137,14 @@ STRIP = {"A": "a b", "B": "b' c", "C": "c' d"}
     (TORUS, apply_p1_inverse, ("z", "a", "x"), EdgeNotFoundError, "must exist"),
     (TORUS, apply_p1_inverse, ("a", "a'", "x"), NotContractibleError, "with itself"),
     (TORUS, apply_p1_inverse, ("a", "b", "b"), NameCollisionError, "'b' already in use"),
+    (TORUS, apply_p1_inverse, ("a''", "b", "x"), MalformedTokenError, "bad edge token \"a''\""),
     (TORUS, apply_p2, ("Z", 1, "d"), FaceNotFoundError, "no face 'Z'"),
     (TORUS, apply_p2, ("A", 1, "a"), NameCollisionError, "'a' already in use"),
     (STRIP, apply_p2_inverse, ("A", "Z", "b"), FaceNotFoundError, "must exist"),
     (STRIP, apply_p2_inverse, ("A", "B", "a"), NotMergeableError, "not shared by two faces"),
     (STRIP, apply_p2_inverse, ("A", "B", "c"), NotMergeableError, "does not join 'A' and 'B'"),
-], ids=["p1-edge", "p1inv-edge", "p1inv-self", "p1inv-fresh", "p2-face", "p2-fresh",
-        "p2inv-face", "p2inv-one-face", "p2inv-other-faces"])
+], ids=["p1-edge", "p1inv-edge", "p1inv-self", "p1inv-fresh", "p1inv-token", "p2-face",
+        "p2-fresh", "p2inv-face", "p2inv-one-face", "p2inv-other-faces"])
 def test_a_move_with_bad_arguments_raises_its_code_and_leaves_K(faces, move, args, error, message):
     K = build(faces)
     before = K.faces
