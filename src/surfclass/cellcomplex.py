@@ -89,15 +89,13 @@ class CellComplex:
 
     @cached_property
     def edge_occurrences(self) -> dict:
-        """edge name -> list of (face index, position, sign) over chosen words."""
+        """edge name -> list of (face index, position, sign) over chosen words;
+        no verb reads it, only ``surfbench/workloads.py`` and the tests."""
         occ: dict = {}
         for fi, (_, w) in enumerate(self.faces):
             for pos, s in enumerate(w):
                 occ.setdefault(s.name, []).append((fi, pos, s.sign))
         return occ
-
-    def border_edges(self) -> tuple:
-        return tuple(e for e in self.edges if len(self.edge_occurrences[e]) == 1)
 
     # -- vertices and invariants via the end graph ----------------------
 
@@ -175,9 +173,6 @@ class CellComplex:
         data, idx = self._vertex_data
         return data[idx[s]]
 
-    def euler_characteristic(self) -> int:
-        return self._counts[0].euler
-
     def contours(self) -> tuple:
         """Boundary circles, (a1..an) and (an'..a1') being one, each read
         as :attr:`_vertex_order` proves least."""
@@ -185,10 +180,6 @@ class CellComplex:
         least = lambda w: min(map(sym_key, w))
         words = [_from_least(min(r, inverse_word(r), key=least)) for r in runs]
         return tuple(Contour(w) for w in sorted(words, key=least))
-
-    def is_orientable(self) -> bool:
-        """Whether some choice of face orientations is coherent."""
-        return self._counts[0].orientable
 
     def invariant_report(self) -> InvariantReport:
         return self._counts[0]

@@ -43,6 +43,7 @@ from .simplicial import (
     homology,
     refine_to_triangulation,
     refined_counts,
+    surface_verdict,
     to_cell_complex,
     validate_bordered_surface,
     validate_closed_surface,
@@ -83,29 +84,23 @@ def cmd_validate(args, out):
             "n2": report.n2,
         }
     else:
-        closed = validate_closed_surface(obj)
-        bordered = validate_bordered_surface(obj)
+        closed, bordered = validate_closed_surface(obj), validate_bordered_surface(obj)
+        verdict = surface_verdict(closed, bordered)
         nv, ne, nt = obj.counts()
         payload = {
             "kind": "simplicial",
             "closed_surface": closed.ok,
             "bordered_surface": bordered.ok,
-            "violations": list((closed if not closed.ok else bordered).violations),
+            "violations": list(verdict.violations),
             "border_circles": bordered.border_circles,
             "vertices": nv,
             "edges": ne,
             "triangles": nt,
         }
-        if not (closed.ok or bordered.ok):
+        if not verdict.ok:
             _emit(payload, args, out)
-            raise _not_a_surface(closed, bordered)
+            raise NotASurfaceError(verdict.violations[0])
     _emit(payload, args, out)
-
-
-def _not_a_surface(closed, bordered) -> NotASurfaceError:
-    """The error for a triangulation that fails both checks: one with
-    border edges is read as bordered, any other as closed."""
-    return NotASurfaceError((bordered if bordered.border_circles else closed).violations[0])
 
 
 def _emit(payload: dict, args, out):
@@ -118,11 +113,9 @@ def _emit(payload: dict, args, out):
 def cmd_classify(args, out):
     kind, obj = _load_surface(args.file)
     if kind == "simplicial":
-        closed = validate_closed_surface(obj)
-        if not closed.ok:
-            bordered = validate_bordered_surface(obj)
-            if not bordered.ok:
-                raise _not_a_surface(closed, bordered)
+        verdict = surface_verdict(validate_closed_surface(obj), validate_bordered_surface(obj))
+        if not verdict.ok:
+            raise NotASurfaceError(verdict.violations[0])
         # the glued complex is one polygon with the triangulation's chi
         nv, ne, nt = obj.counts()
         obj = to_cell_complex(obj)

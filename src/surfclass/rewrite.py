@@ -196,11 +196,11 @@ def apply_p2_inverse(K: CellComplex, face1: str, face2: str, edge: str) -> CellC
         raise FaceNotFoundError(f"faces {face1!r}, {face2!r} must exist")
     if face1 == face2:
         raise NotMergeableError("cannot merge a face with itself")
-    occ = K.edge_occurrences.get(edge)
-    if occ is None or len(occ) != 2:
+    first, last, face = K._counts[3]
+    if first.get(edge, -1) == last.get(edge, -1):  # no such edge, or a border edge
         raise NotMergeableError(f"edge {edge!r} is not shared by two faces")
     names = [n for n, _ in K.faces]
-    if {names[occ[0][0]], names[occ[1][0]]} != {face1, face2}:
+    if {names[face[first[edge]]], names[face[last[edge]]]} != {face1, face2}:
         raise NotMergeableError(f"edge {edge!r} does not join {face1!r} and {face2!r}")
     return _Rewriter(K).p2_inverse(face1, face2, edge).complex()
 

@@ -9,7 +9,8 @@ and per vertex v, link lists u -> the triangles on edge (v, u), by index
 Edges, components, the surface checks (every edge in two triangles, or
 one/two for bordered, a single cyclic or linear fan around each vertex,
 and connectivity, all in one pass over the fans) and the dual-graph walk
-read that index.
+read that index.  ``surface_verdict`` is the one owner of the rule that
+picks which check decides whether a triangulation is a surface.
 
 ``refine_to_triangulation`` converts any cell complex into a
 triangulated one: split every edge, star every face from a central
@@ -222,13 +223,20 @@ def validate_closed_surface(K: SimplicialComplex2) -> ValidationReport:
 
 
 def validate_bordered_surface(K: SimplicialComplex2) -> ValidationReport:
-    """Conditions for a bordered surface: interior edges in two
-    triangles, border edges in one, linear fans at border vertices.
-
-    The two ends of a border vertex's fan must be border *edges* (each
-    contained in a single triangle); the interior of the fan alternates
-    interior edges and triangles."""
+    """Conditions for a bordered surface: interior edges in two triangles,
+    border edges in one, at a border vertex a fan that is one path from
+    a border edge to a border edge, and connected."""
     return K.surface_reports[1]
+
+
+def surface_verdict(closed: ValidationReport, bordered: ValidationReport) -> ValidationReport:
+    """The governing one of a triangulation's two reports: the bordered one
+    if an edge lies in one triangle (then it has a border circle), else the
+    closed one.  Its ``ok`` is ``closed.ok or bordered.ok``: with no such
+    edge both checks flag the same faults (D1 only for edges in three or
+    more triangles, one fan test, one connectivity test), and with one the
+    closed check's D1 fails."""
+    return bordered if bordered.border_circles else closed
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +427,7 @@ def refine_to_triangulation(K: CellComplex):
         faces = _bulk_split_all_edges(faces, fresh)
     faces = _bulk_quadrisect(_bulk_star_faces(faces, fresh), fresh)
     refined = build_complex(faces, internal=True)
-    if refined.euler_characteristic() != report.euler:
+    if refined.invariant_report().euler != report.euler:
         raise InternalInvariantViolation("refinement changed the Euler characteristic")
     order, sym_to_vertex = refined._vertex_order
     names = [f"v{i}" for i in range(len(order))]
@@ -428,9 +436,9 @@ def refine_to_triangulation(K: CellComplex):
     simp = build_simplicial(t for t in triangles if len(set(t)) == 3)
     if len(simp.triangles) != len(triangles):
         raise InternalInvariantViolation("refinement is not faithful")
-    check = (validate_bordered_surface if report.num_contours else validate_closed_surface)(simp)
-    if not check.ok:
-        reasons = "; ".join(check.violations[:3])
+    verdict = surface_verdict(*simp.surface_reports)
+    if not verdict.ok or verdict.border_circles != report.num_contours:
+        reasons = "; ".join(verdict.violations[:3]) or f"{verdict.border_circles} border circles"
         raise InternalInvariantViolation(f"refinement output fails surface validation: {reasons}")
     nv, ne, nt = simp.counts()
     if nv - ne + nt != report.euler:

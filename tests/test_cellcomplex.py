@@ -193,9 +193,9 @@ def test_vertex_partition_covers_all_symbols():
 
 
 def test_euler_examples():
-    assert build(TORUS).euler_characteristic() == 0
-    assert build({"A": ""}).euler_characteristic() == 2
-    assert build(CELLFIG).euler_characteristic() == 1
+    assert build(TORUS).invariant_report().euler == 0
+    assert build({"A": ""}).invariant_report().euler == 2
+    assert build(CELLFIG).invariant_report().euler == 1
 
 
 def test_contours_examples():
@@ -215,13 +215,13 @@ def test_contours_cover_border_edges_once():
         seen = []
         for c in K.contours():
             seen.extend(s.name for s in c.edges)
-        assert sorted(seen) == sorted(K.border_edges())
+        assert sorted(seen) == sorted(e for e, occ in K.edge_occurrences.items() if len(occ) == 1)
 
 
 def test_orientable_examples():
-    assert build(TORUS).is_orientable()
-    assert not build({"A": "a a"}).is_orientable()
-    assert build({"A": "a b c"}).is_orientable()
+    assert build(TORUS).invariant_report().orientable
+    assert not build({"A": "a a"}).invariant_report().orientable
+    assert build({"A": "a b c"}).invariant_report().orientable
 
 
 def test_orientable_matches_brute_force():
@@ -236,7 +236,7 @@ def test_orientable_matches_brute_force():
     ]
     for faces in cases:
         K = build(faces)
-        assert K.is_orientable() == brute_force_orientable(K)
+        assert K.invariant_report().orientable == brute_force_orientable(K)
 
 
 def test_orientable_matches_brute_force_on_scrambles():
@@ -244,7 +244,7 @@ def test_orientable_matches_brute_force_on_scrambles():
     for seed in range(15):
         form = NormalForm("I" if seed % 2 else "II", max(1, seed % 3), seed % 2)
         K = scramble(make_canonical(form), seed, rng.randint(0, 10))
-        assert K.is_orientable() == brute_force_orientable(K)
+        assert K.invariant_report().orientable == brute_force_orientable(K)
 
 
 def test_invariant_report_examples():
@@ -259,4 +259,4 @@ def test_invariant_report_examples():
 
 def test_euler_upper_bound():
     for faces in (TORUS, CELLFIG, {"A": ""}, {"A": "a a"}, {"A": "a b a c"}):
-        assert build(faces).euler_characteristic() <= 2
+        assert build(faces).invariant_report().euler <= 2

@@ -14,7 +14,12 @@ import surfclass
 from surfclass import cli, simplicial
 from surfclass.cli import run
 from surfclass.rewrite import NormalForm, make_canonical
-from surfclass.simplicial import build_simplicial, refine_to_triangulation, to_cell_complex
+from surfclass.simplicial import (
+    ValidationReport,
+    build_simplicial,
+    refine_to_triangulation,
+    to_cell_complex,
+)
 
 from simputil import DISC, MOBIUS_BAND, faces_per_triangle
 
@@ -568,6 +573,34 @@ def test_validate_non_surface_triangulation_gives_one_coded_line(files, capsys, 
     one_coded_line(cap.err, "E_NOT_A_SURFACE")
     assert run(["classify", path]) == 1
     assert capsys.readouterr().err == cap.err
+
+
+@pytest.mark.parametrize("case", ["one_triangle", "pinched", "fin"])
+def test_validate_lists_the_governing_violations_and_refuses_with_the_first(files, capsys, case):
+    # a valid bordered file lists none; a refused one, with border edges
+    # (the fin) or without (the pinch), names its first in the E_ line
+    write, _ = files
+    text = {"one_triangle": "triangle a b c\n", "pinched": pinched_genus_two()[0], "fin": FIN_TRI}
+    code = run(["validate", write(f"{case}.tri", text[case]), "--json"])
+    cap = capsys.readouterr()
+    report = json.loads(cap.out)
+    if case == "one_triangle":
+        assert (code, cap.err, report["bordered_surface"], report["violations"]) == (0, "", True, [])
+    else:
+        assert code == 1
+        assert cap.err == f"E_NOT_A_SURFACE: {report['violations'][0]}\n"
+
+
+def test_refine_refuses_an_output_whose_border_circles_differ_from_the_input(capsys, monkeypatch):
+    # the torus has no contour, so an output with one border circle is
+    # refused before anything is written, even when its checks pass
+    one_circle = lambda closed, bordered: ValidationReport(True, (), 1)  # noqa: E731
+    monkeypatch.setattr(simplicial, "surface_verdict", one_circle)
+    assert run(["refine", str(SAMPLES / "torus.cc")]) == 1
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    one_coded_line(cap.err, "E_INTERNAL")
+    assert "1 border circles" in cap.err
 
 
 def test_classify_h1_equals_homology_h1_on_valid_triangulations(files, capsys, figure_triangulations):

@@ -8,6 +8,7 @@ read that pass's slot maps.  These tests hold it to what ``build`` and
 ``invariant_report`` say about the same faces.
 """
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from surfclass.errors import (
     DisconnectedError,
     EdgeMultiplicityError,
     EmptyFaceSetError,
+    NotMergeableError,
     SurfclassError,
 )
 from surfclass.fileio import parse_cell_complex
@@ -28,6 +30,7 @@ from surfclass.rewrite import (
     TYPE_II,
     NormalForm,
     _Rewriter,
+    apply_p2_inverse,
     make_canonical,
     normalize,
     scramble,
@@ -161,7 +164,17 @@ def test_mutate_raises_what_build_raises(case):
 )
 def test_a_valid_cc_is_classified_without_edge_occurrences(path):
     # multiplicity is decided in the counting pass; the per-edge lists
-    # are built only for the views that ask for them
+    # are built only for the views that ask for them, and P2 inverse,
+    # on every edge and pair of faces, reads the slot maps
     K = parse_cell_complex(path.read_text() if path else CC_TEXT)
     assert classify(K).form == normalize(K).normal
+    merged = 0
+    for e in K.edges:
+        for f1, f2 in combinations([n for n, _ in K.faces], 2):
+            try:
+                merged += len(apply_p2_inverse(K, f1, f2, e).faces) == len(K.faces) - 1
+            except NotMergeableError:
+                pass
+    # bordered.cc: a, b and d each join two faces; CC_TEXT: b and d join A, B, and a and c A, C
+    assert merged == {"bordered.cc": 3, None: 4}.get(path and path.name, 0)
     assert "edge_occurrences" not in K.__dict__

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from surfclass.simplicial import (
     build_simplicial,
     homology,
     refine_to_triangulation,
+    surface_verdict,
     to_cell_complex,
     validate_bordered_surface,
     validate_closed_surface,
@@ -270,7 +272,7 @@ def test_homology_closed_conformance(figure_triangulations):
         K = build_simplicial(tris)
         h0, h1, h2 = homology(K)
         assert h0 == Z
-        orientable = to_cell_complex(K).is_orientable()
+        orientable = to_cell_complex(K).invariant_report().orientable
         assert (h2 == Z) == orientable
         assert h1.torsion in ((), (2,))
 
@@ -316,7 +318,7 @@ def test_refine_scrambled_preserves_chi():
         K = scramble(make_canonical(form), seed, rng.randint(0, 5))
         refined, simp = refine_to_triangulation(K)
         nv, ne, nt = simp.counts()
-        assert nv - ne + nt == K.euler_characteristic()
+        assert nv - ne + nt == K.invariant_report().euler
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +389,24 @@ def test_validators_match_oracle_on_figures_and_non_surfaces(figure_triangulatio
 def test_validators_match_oracle_on_random_complexes():
     for K in random_complexes(5, 300):
         assert_validators_match_oracle(K)
+
+
+def test_surface_verdict_is_the_oracle_report_that_border_edges_pick(figure_triangulations):
+    # random complexes, the closed figures, and fins and pinches, two of
+    # them without border edges: every branch passes and fails
+    figures = [*figure_triangulations.values(), *FINS_AND_PINCHES.values()]
+    cases = [*random_complexes(5, 300), *map(build_simplicial, figures)]
+    seen = Counter()
+    for K in cases:
+        closed, bordered = validate_closed_surface(K), validate_bordered_surface(K)
+        verdict = surface_verdict(closed, bordered)
+        on_edge = Counter(e for a, b, c in K.triangles for e in ((a, b), (a, c), (b, c)))
+        border = 1 in on_edge.values()
+        oracle = edge_keyed_validate_bordered if border else edge_keyed_validate_closed
+        assert verdict == oracle(K)
+        assert verdict.ok == (closed.ok or bordered.ok)
+        seen[border, verdict.ok] += 1
+    assert len(seen) == 4, seen
 
 
 @pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
