@@ -559,13 +559,13 @@ def test_classify_edge_in_three_triangles_names_user_vertices(files, capsys):
 
 @pytest.mark.parametrize("case", ["pinched", "fin"])
 def test_validate_non_surface_triangulation_gives_one_coded_line(files, capsys, case):
-    # stdout and the exit code are as before; stderr names the violation
+    # stderr names the first violation that the report lists, the one
     # that classify names for the same file
     write, _ = files
-    if case == "pinched":
-        text = pinched_genus_two()[0]  # no border edges: read as closed
-    else:
-        text = "triangle a b c\ntriangle a b d\ntriangle a b x\n"  # border edges
+    if case == "pinched":  # no border edges: the closed check governs
+        text = pinched_genus_two()[0]
+    else:  # border edges: the bordered check governs
+        text = "triangle a b c\ntriangle a b d\ntriangle a b x\n"
     path = write(f"{case}.tri", text)
     assert run(["validate", path]) == 1
     cap = capsys.readouterr()
@@ -573,22 +573,18 @@ def test_validate_non_surface_triangulation_gives_one_coded_line(files, capsys, 
     one_coded_line(cap.err, "E_NOT_A_SURFACE")
     assert run(["classify", path]) == 1
     assert capsys.readouterr().err == cap.err
+    assert run(["validate", path, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == cap.err == f"E_NOT_A_SURFACE: {json.loads(out)['violations'][0]}\n"
 
 
-@pytest.mark.parametrize("case", ["one_triangle", "pinched", "fin"])
-def test_validate_lists_the_governing_violations_and_refuses_with_the_first(files, capsys, case):
-    # a valid bordered file lists none; a refused one, with border edges
-    # (the fin) or without (the pinch), names its first in the E_ line
+def test_validate_of_one_triangle_lists_no_violation(files, capsys):
+    # a valid bordered surface: the closed check fails, but does not govern
     write, _ = files
-    text = {"one_triangle": "triangle a b c\n", "pinched": pinched_genus_two()[0], "fin": FIN_TRI}
-    code = run(["validate", write(f"{case}.tri", text[case]), "--json"])
-    cap = capsys.readouterr()
-    report = json.loads(cap.out)
-    if case == "one_triangle":
-        assert (code, cap.err, report["bordered_surface"], report["violations"]) == (0, "", True, [])
-    else:
-        assert code == 1
-        assert cap.err == f"E_NOT_A_SURFACE: {report['violations'][0]}\n"
+    assert run(["validate", write("disc.tri", "triangle a b c\n"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["closed_surface"], report["bordered_surface"], report["violations"]) == (
+        False, True, [])
 
 
 def test_refine_refuses_an_output_whose_border_circles_differ_from_the_input(capsys, monkeypatch):
