@@ -23,10 +23,8 @@ from functools import cached_property
 from typing import Mapping
 
 from .edgeword import (
-    EdgeSym,
     Word,
     format_word,
-    inverse_word,
     parse_word,
     sym_key,
     valid_name,
@@ -49,13 +47,6 @@ class Vertex:
 
     kind: str
     members: tuple
-
-
-@dataclass(frozen=True)
-class Contour:
-    """One boundary circle, as a cyclic run of border symbols."""
-
-    edges: tuple
 
 
 @dataclass(frozen=True)
@@ -104,82 +95,42 @@ class CellComplex:
         return count_invariants([w for _, w in self.faces])
 
     @cached_property
-    def _vertex_runs(self):
-        """(border paths, inner cycles, contours) as runs of symbols in
-        walk order, or None when every word is empty (the null vertex)."""
+    def _vertex_order(self):
+        """(vertex kinds and runs in canonical vertex order, symbol ->
+        vertex index): the border paths and inner cycles of
+        :func:`count_invariants` as symbols in walk order, an inner run
+        keyed by its least member and a border run by its lesser end.
+        Every word empty gives the null vertex.
+
+        This is the order of the runs' ``sym_key``-least readings (a
+        rotation of an inner run read either way, a border run read from
+        either end), and the least member decides it:
+
+        * Each oriented symbol is a member of exactly one vertex run,
+          once: its ends are one glued pair (inner edge) or one unglued
+          end (border edge), and a run lists one end of each glued pair
+          it passes.  So a run's members are distinct.
+        * So a least reading starts at the least member of an inner run,
+          or at the lesser end of a border run.
+        * Two runs therefore differ in their first members, which decide
+          their order.
+        """
         letters = [s for _, w in self.faces for s in w]
         if not letters:
-            return None
+            return ((NULL, ()),), {}
 
         def member(end):
             s = letters[end >> 1]
             return s.inv() if end & 1 else s
 
-        return tuple([[member(e) for e in r] for r in rs] for rs in self._counts[2])
-
-    @cached_property
-    def _vertex_order(self):
-        """(vertex kinds and runs in canonical vertex order, symbol ->
-        vertex index), found without canonicalizing any run.
-
-        A vertex or contour is represented by its ``sym_key``-least
-        reading, a rotation of its run read either way (reversed for a
-        vertex, inverted for a contour; a border vertex is not rotated),
-        and sorted by it.  The least member decides both:
-
-        * Each oriented symbol is a member of exactly one vertex run,
-          once: its ends are one glued pair (inner edge) or one unglued
-          end (border edge), and a run lists one end of each glued pair
-          it passes.  Each border edge lies on exactly one contour, once.
-          So a run's members are distinct, and a contour's symbols are
-          disjoint from those of its inverse.
-        * So the first member decides every comparison of readings: an
-          inner vertex reads from its least member toward the lesser of
-          its two neighbours, a border vertex from its lesser end, and a
-          contour from the least symbol of it and its inverse.
-        * Two vertices, or two contours, differ in their first members,
-          which therefore decide their order too.
-        """
-        runs = self._vertex_runs
-        if runs is None:
-            return ((NULL, ()),), {}
-        borders, inners, _ = runs
+        paths, cycles, _ = self._counts[2]
+        borders = [[member(e) for e in r] for r in paths]
+        inners = [[member(e) for e in r] for r in cycles]
         keyed = [(min(sym_key(r[0]), sym_key(r[-1])), BORDER, r) for r in borders]
         keyed += [(min(map(sym_key, r)), INNER, r) for r in inners]
         keyed.sort()  # the first symbols are distinct: no run is compared
         sym_to_vertex = {s: i for i, (_, _, r) in enumerate(keyed) for s in r}
         return tuple((kind, r) for _, kind, r in keyed), sym_to_vertex
-
-    @cached_property
-    def _vertex_data(self):
-        """(vertices, sym_to_vertex): :attr:`_vertex_order` with each
-        run read as its docstring proves least."""
-        order, sym_to_vertex = self._vertex_order
-        vertices = []
-        for kind, r in order:
-            if kind == INNER:
-                r = _from_least(r)
-                if len(r) > 2 and sym_key(r[-1]) < sym_key(r[1]):
-                    r = r[:1] + r[:0:-1]
-            elif kind == BORDER and sym_key(r[-1]) < sym_key(r[0]):
-                r = r[::-1]
-            vertices.append(Vertex(kind, tuple(r)))
-        return tuple(vertices), sym_to_vertex
-
-    def vertices(self) -> tuple:
-        return self._vertex_data[0]
-
-    def vertex_of(self, s: EdgeSym) -> Vertex:
-        data, idx = self._vertex_data
-        return data[idx[s]]
-
-    def contours(self) -> tuple:
-        """Boundary circles, (a1..an) and (an'..a1') being one, each read
-        as :attr:`_vertex_order` proves least."""
-        runs = self._vertex_runs[2] if self._vertex_runs else ()
-        least = lambda w: min(map(sym_key, w))
-        words = [_from_least(min(r, inverse_word(r), key=least)) for r in runs]
-        return tuple(Contour(w) for w in sorted(words, key=least))
 
     def invariant_report(self) -> InvariantReport:
         return self._counts[0]
@@ -188,12 +139,6 @@ class CellComplex:
 
     def describe(self) -> str:
         return "; ".join(f"{name}: {format_word(w)}" for name, w in self.faces)
-
-
-def _from_least(run) -> tuple:
-    """A run of distinct members rotated to start at its least one."""
-    i = min(range(len(run)), key=lambda k: sym_key(run[k]))
-    return tuple(run[i:]) + tuple(run[:i])
 
 
 def count_invariants(words) -> tuple:

@@ -159,8 +159,9 @@ def apply_p1_inverse(K: CellComplex, first, second, fresh: str) -> CellComplex:
         raise NotContractibleError("cannot contract an edge with itself")
     if fresh in K.edges:
         raise NameCollisionError(f"name {fresh!r} already in use")
-    v = K.vertex_of(b)
-    if len(v.members) != 2 or set(v.members) != {b, c.inv()}:
+    order, at = K._vertex_order
+    run = order[at[b]][1]
+    if len(run) != 2 or set(run) != {b, c.inv()}:
         raise NotContractibleError(f"({b!r}, {c.inv()!r}) is not a two-element vertex")
     return _Rewriter(K).p1_inverse(b, c, fresh).complex()
 
@@ -476,17 +477,26 @@ class _Rewriter:
     # -- vertex views ---------------------------------------------------------
 
     def inner_vertices(self):
-        """Inner vertices in ``vertices()``'s order, each run as the walk
-        read it.  Exact, as every reader is blind to rotating or reversing
-        a run: the keep and small picks compare member counts, ties to
-        the first; ``_pick_pair`` takes the least of an inner run's set of
+        """Inner vertices in ``_vertex_order``, each run as the walk read
+        it.  Exact, as every reader is blind to rotating or reversing a
+        run: the keep and small picks compare member counts, ties to the
+        first; ``_pick_pair`` takes the least of an inner run's set of
         adjacent ordered pairs; the border steps test membership and
-        truthiness only.  Border runs stay canonical for ``p1_inverse``."""
+        truthiness only."""
         order = self.complex()._vertex_order[0]
         return [Vertex(INNER, tuple(r)) for kind, r in order if kind == INNER]
 
     def border_vertices(self):
-        return [v for v in self.complex().vertices() if v.kind == BORDER]
+        """Border vertices in ``_vertex_order``, each run read from its
+        lesser end: ``reduce_border_vertices`` contracts a two-member one
+        in that direction; the loop test, ``_reserved`` and ``_pick_pair``
+        read either direction alike."""
+        order = self.complex()._vertex_order[0]
+        return [
+            Vertex(BORDER, tuple(r[::-1] if sym_key(r[-1]) < sym_key(r[0]) else r))
+            for kind, r in order
+            if kind == BORDER
+        ]
 
     # -- elimination primitive ------------------------------------------------
 
@@ -841,15 +851,9 @@ def scramble_step(rw: _Rewriter, rng: random.Random):
     candidates = [("p1", e) for e in sorted(rw.counts[3][0])]
     for name, w in rw.faces.items():
         candidates += [("p2", name, 0, p) for p in range(1, len(w))] if w else [("p2", name, 0, 0)]
-    # a two-member vertex reads (x, y) canonically with x before y; only
-    # these, not every vertex, are put in canonical order
-    borders, inners, _ = rw.complex()._vertex_runs or ((), (), ())
-    pairs = sorted(
-        (sym_key(x), sym_key(y), x, y)
-        for x, y in (sorted(r, key=sym_key) for r in borders + inners if len(r) == 2)
-        if x.name != y.name
-    )
-    candidates += [("p1inv", x, y.inv()) for *_, x, y in pairs]
+    # a two-member vertex reads (x, y) with x the lesser, which orders it
+    pairs = (sorted(r, key=sym_key) for _, r in rw.complex()._vertex_order[0] if len(r) == 2)
+    candidates += [("p1inv", x, y.inv()) for x, y in pairs if x.name != y.name]
     candidates += [("p2inv", f1, f2, e) for e, f1, f2 in rw.joins()]
     move, *args = rng.choice(candidates)
     if move == "p1":

@@ -91,6 +91,42 @@ MUTANTS = [
      "stack[i] == stack[j - 1].inv()",
      "stack[i].name == stack[j - 1].name",
      ["test_edgeword.py"], KILLED),
+    ("border_vertices reads each run from its greater end", "rewrite.py",
+     "r[::-1] if sym_key(r[-1]) < sym_key(r[0]) else r",
+     "r[::-1] if sym_key(r[0]) < sym_key(r[-1]) else r",
+     ["test_golden.py"], KILLED),
+    ("scramble_step reads a two-member vertex greater first", "rewrite.py",
+     "pairs = (sorted(r, key=sym_key) for",
+     "pairs = (sorted(r, key=sym_key, reverse=True) for",
+     ["test_golden.py"], KILLED),
+    ("_vertex_order keys an inner run by its greatest member", "cellcomplex.py",
+     "keyed += [(min(map(sym_key, r)), INNER, r) for r in inners]",
+     "keyed += [(max(map(sym_key, r)), INNER, r) for r in inners]",
+     ["test_simplicial.py"], KILLED),
+    ("_reads_as without the back map", "rewrite.py",
+     "if forward.setdefault(s.name, to) != to or back.setdefault(t.name, s.name) != s.name:",
+     "if forward.setdefault(s.name, to) != to:",
+     ["test_rewrite.py"], KILLED),
+    ("_dual_forest steps into a triangle holding the side, not its inverse", "simplicial.py",
+     "stack += [(z, y, u), (x, z, u)]",
+     "stack += [(y, z, u), (z, x, u)]",
+     ["test_simplicial.py"], KILLED),
+    ("_iterate's segment check ignores y", "planegeom.py",
+     "firsts.append(next((i for i in xeq if ys[i] == ys[i + 1]), n))",
+     "firsts.append(next(iter(xeq), n))",
+     ["test_planegeom.py"], KILLED),
+    ("parse_points' bulk path skips the finiteness test", "fileio.py",
+     "if math.isfinite(sum(vs)) or all(map(math.isfinite, vs)):",
+     "if True:",
+     ["test_fileio.py"], KILLED),
+    ("hausdorff's scan stops within twice the bound", "planegeom.py",
+     "if best <= bound:",
+     "if best <= 2 * bound:",
+     ["test_planegeom.py"], KILLED),
+    ("smith_normal_form skips the column remainders", "intlinalg.py",
+     "rest = [q for q, v in line.items() if v % pv]",
+     "rest = []",
+     ["test_intlinalg.py"], KILLED),
 ]
 
 

@@ -3,7 +3,7 @@
 import random
 
 from surfclass.cellcomplex import BORDER, INNER, NULL, Vertex, build
-from surfclass.edgeword import EdgeSym
+from surfclass.edgeword import EdgeSym, inverse_word
 from surfclass.intlinalg import FgAbelianGroup, IntMatrix, smith_normal_form
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical
 from surfclass.simplicial import ValidationReport, refine_to_triangulation
@@ -245,13 +245,38 @@ def edge_keyed_validate_bordered(K):
     return ValidationReport(not violations, tuple(violations), circles)
 
 
+def _runs_as_symbols(K, runs):
+    """Runs of slot ends, as ``count_invariants`` walks them, as symbols:
+    end 2k carries the k-th letter of K's words and end 2k + 1 its inverse."""
+    letters = [s for _, w in K.faces for s in w]
+    return [tuple(letters[e >> 1].inv() if e & 1 else letters[e >> 1] for e in r) for r in runs]
+
+
 def vertices_by_full_keys(K):
-    """K's vertices with every run canonicalized first, by trying every
-    reading, then sorted by the ``sym_key`` list of all their members."""
-    runs = K._vertex_runs
-    if runs is None:
+    """K's vertices from the walk's runs in ``K._counts[2]``, each read
+    least by trying every reading (an inner run rotated either way, a
+    border run from either end), then sorted by the ``sym_key`` list of
+    all their members."""
+    if not any(w for _, w in K.faces):
         return (Vertex(NULL, ()),)
-    borders, inners, _ = runs
-    out = [Vertex(BORDER, min(tuple(r), tuple(r[::-1]), key=word_key)) for r in borders]
-    out += [Vertex(INNER, brute_least_rotation(r, r[::-1])) for r in inners]
+    paths, cycles, _ = K._counts[2]
+    out = [Vertex(BORDER, least_reading(BORDER, r)) for r in _runs_as_symbols(K, paths)]
+    out += [Vertex(INNER, least_reading(INNER, r)) for r in _runs_as_symbols(K, cycles)]
     return tuple(sorted(out, key=lambda v: word_key(v.members)))
+
+
+def least_reading(kind, run):
+    """The ``sym_key``-least reading of a vertex run, by trying them all:
+    every rotation either way of an inner run, either end of a border run."""
+    run = tuple(run)
+    if kind == INNER:
+        return brute_least_rotation(run, run[::-1])
+    return min(run, run[::-1], key=word_key)
+
+
+def contours_by_full_keys(K):
+    """K's boundary circles from the walk's contour runs in
+    ``K._counts[2][2]``, each read least over every rotation of it and of
+    its inverse, then sorted by their ``sym_key`` lists."""
+    runs = _runs_as_symbols(K, K._counts[2][2])
+    return tuple(sorted((brute_least_rotation(r, inverse_word(r)) for r in runs), key=word_key))

@@ -1,15 +1,13 @@
-"""Canonical vertex and contour order, and the counts-first invariant check.
+"""The counts-first invariant check and the rewriter's own checks.
 
-The quadratic reference tries every rotation of every traversal
-direction; the library reads the same least representatives from the
-least member of each run, whose members are distinct.
+The vertex order itself is checked against the full-key oracle in
+``test_simplicial.py``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfclass.cellcomplex import BORDER, INNER, build
-from surfclass.edgeword import inverse_word
+from surfclass.cellcomplex import build
 from surfclass.errors import InternalInvariantViolation
 from surfclass.rewrite import (
     TYPE_I,
@@ -20,9 +18,8 @@ from surfclass.rewrite import (
     make_canonical,
     scramble,
 )
-from surfclass.simplicial import refine_to_triangulation, to_cell_complex
 
-from wordutil import brute_least_rotation, word_key as key
+from simputil import contours_by_full_keys, vertices_by_full_keys
 
 
 FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
@@ -35,50 +32,11 @@ FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 5) for q in range(4)]
 def test_report_counts_match_canonical_views(form, seed, moves):
     K = scramble(make_canonical(form), seed, moves)
     r = K.invariant_report()
-    assert r.n0 == len(K.vertices())
-    assert r.num_contours == len(K.contours())
-    assert r.euler == len(K.vertices()) - len(K.edges) + len(K.faces)
+    n0 = len(vertices_by_full_keys(K))
+    assert r.n0 == n0 == len(K._vertex_order[0])
+    assert r.num_contours == len(contours_by_full_keys(K))
+    assert r.euler == n0 - len(K.edges) + len(K.faces)
     assert r.key() == (form.orientable(), form.q, form.euler())
-
-
-def assert_least_representatives(K):
-    vs = K.vertices()
-    for v in vs:
-        m = v.members
-        assert len(set(m)) == len(m)
-        if v.kind == INNER:
-            assert m == brute_least_rotation(m, m[::-1])
-        elif v.kind == BORDER:
-            assert m == min(m, m[::-1], key=key)
-    assert [key(v.members) for v in vs] == sorted(key(v.members) for v in vs)
-    cs = K.contours()
-    for c in cs:
-        assert len({s.name for s in c.edges}) == len(c.edges)
-        assert c.edges == brute_least_rotation(c.edges, inverse_word(c.edges))
-    assert [key(c.edges) for c in cs] == sorted(key(c.edges) for c in cs)
-
-
-def refinement_and_polygon(K):
-    refined, simp = refine_to_triangulation(K)
-    return refined, to_cell_complex(simp)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    form=st.sampled_from(FORMS),
-    seed=st.integers(0, 10**6),
-    moves=st.integers(0, 20),
-)
-def test_vertices_and_contours_are_least_representatives(form, seed, moves):
-    K = scramble(make_canonical(form), seed, moves)
-    for L in (K, *refinement_and_polygon(K)):
-        assert_least_representatives(L)
-
-
-@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
-def test_refinements_and_polygons_are_least_representatives(form):
-    for L in refinement_and_polygon(scramble(make_canonical(form), 0, 15)):
-        assert_least_representatives(L)
 
 
 def test_report_is_computed_once_per_complex():

@@ -13,6 +13,8 @@ from surfclass.errors import (
 )
 from surfclass.rewrite import NormalForm, make_canonical, scramble
 
+from simputil import contours_by_full_keys
+
 TORUS = {"A": "a b a' b'"}
 CELLFIG = {"A": "a b c", "B": "b e d'", "C": "a d f'"}
 
@@ -143,9 +145,10 @@ def test_build_reports_the_first_bad_name_in_walk_order():
 def successors(K, s):
     """Symbols following s in some face word or its inverse word, read
     off the vertex s leads to: t follows s where t' sits next to s."""
-    v = K.vertex_of(s)
-    m, i = v.members, v.members.index(s)
-    if v.kind == INNER:
+    order, at = K._vertex_order
+    kind, m = order[at[s]]
+    i = m.index(s)
+    if kind == INNER:
         nbrs = (m[i - 1], m[(i + 1) % len(m)])
     else:
         nbrs = m[max(i - 1, 0):i] + m[i + 1:i + 2]
@@ -164,31 +167,30 @@ def test_successors_cellfig_and_cancel_pair():
 
 
 def test_vertices_cellfig_match_figure():
-    K = build(CELLFIG)
-    inner = [v for v in K.vertices() if v.kind == INNER]
-    border = [v for v in K.vertices() if v.kind == BORDER]
+    order = build(CELLFIG)._vertex_order[0]
+    inner = [tuple(r) for kind, r in order if kind == INNER]
+    border = [tuple(r) for kind, r in order if kind == BORDER]
     assert len(inner) == 1 and len(border) == 3
-    assert members_cycle_eq(inner[0].members, parse_word("b' a d'"))
+    assert members_cycle_eq(inner[0], parse_word("b' a d'"))
     wants = [parse_word("e d f"), parse_word("c' b e'"), parse_word("c a' f'")]
     for want in wants:
-        assert any(members_cycle_eq(v.members, want) for v in border)
+        assert any(members_cycle_eq(r, want) for r in border)
 
 
 def test_vertices_torus_single_inner():
-    vs = build(TORUS).vertices()
-    assert len(vs) == 1 and vs[0].kind == INNER
-    assert set(vs[0].members) == set(parse_word("a b a' b'"))
+    order = build(TORUS)._vertex_order[0]
+    assert len(order) == 1 and order[0][0] == INNER
+    assert set(order[0][1]) == set(parse_word("a b a' b'"))
 
 
 def test_vertices_null():
-    vs = build({"A": ""}).vertices()
-    assert len(vs) == 1 and vs[0].kind == NULL and vs[0].members == ()
+    assert build({"A": ""})._vertex_order == (((NULL, ()),), {})
 
 
 def test_vertex_partition_covers_all_symbols():
     for faces in (TORUS, CELLFIG, {"A": "a b a c"}, {"A": "a a'"}):
         K = build(faces)
-        total = sum(len(v.members) for v in K.vertices())
+        total = sum(len(r) for _, r in K._vertex_order[0])
         assert total == 2 * len(K.edges)
 
 
@@ -200,21 +202,21 @@ def test_euler_examples():
 
 def test_contours_examples():
     K = build(CELLFIG)
-    cs = K.contours()
+    cs = contours_by_full_keys(K)
     assert len(cs) == 1
-    assert members_cycle_eq(cs[0].edges, parse_word("c f e'")) or members_cycle_eq(
-        cs[0].edges, tuple(s.inv() for s in reversed(parse_word("c f e'")))
+    assert members_cycle_eq(cs[0], parse_word("c f e'")) or members_cycle_eq(
+        cs[0], tuple(s.inv() for s in reversed(parse_word("c f e'")))
     )
-    assert build(TORUS).contours() == ()
-    assert len(build({"A": "a b a c"}).contours()) == 1
+    assert contours_by_full_keys(build(TORUS)) == ()
+    assert len(contours_by_full_keys(build({"A": "a b a c"}))) == 1
 
 
 def test_contours_cover_border_edges_once():
     for faces in (CELLFIG, {"A": "a b a c"}, {"A": "a"}, {"A": "a b c"}):
         K = build(faces)
         seen = []
-        for c in K.contours():
-            seen.extend(s.name for s in c.edges)
+        for c in contours_by_full_keys(K):
+            seen.extend(s.name for s in c)
         assert sorted(seen) == sorted(e for e, occ in K.edge_occurrences.items() if len(occ) == 1)
 
 

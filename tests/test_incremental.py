@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from surfclass import rewrite
-from surfclass.cellcomplex import build, count_invariants
+from surfclass.cellcomplex import BORDER, INNER, build, count_invariants
 from surfclass.classify import classify
 from surfclass.edgeword import EdgeSym, parse_word
 from surfclass.errors import (
@@ -36,7 +36,7 @@ from surfclass.rewrite import (
     scramble,
 )
 
-from simputil import SMALL_FORMS, form_id
+from simputil import SMALL_FORMS, form_id, least_reading, vertices_by_full_keys
 
 @pytest.mark.parametrize("form", SMALL_FORMS, ids=form_id)
 def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatch):
@@ -55,6 +55,12 @@ def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatc
             for e, o in sorted(occ.items())
             if len(o) == 2 and o[0][0] != o[1][0]
         ]
+        # the vertex views: border runs read least, inner runs up to
+        # rotation and reversal, both in the full-key oracle's order
+        want = vertices_by_full_keys(K)
+        assert self.border_vertices() == [v for v in want if v.kind == BORDER]
+        inner = [least_reading(INNER, v.members) for v in self.inner_vertices()]
+        assert inner == [v.members for v in want if v.kind == INNER]
         key = count_invariants(list(self.faces.values()))[0].key()
         assert key == K.invariant_report().key()
         # known by construction, independently of the counting pass

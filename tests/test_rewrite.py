@@ -50,7 +50,7 @@ def test_p1_crosscap_and_single_edge():
     assert word_of(K, "A") == parse_word("b c b c")
     K2 = apply_p1(build({"A": "a"}), "a", "b", "c")
     assert word_of(K2, "A") == parse_word("b c")
-    assert len(K2.contours()) == 1
+    assert K2.invariant_report().num_contours == 1
 
 
 def test_p1_name_collision():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfclass import simplicial
-from surfclass.cellcomplex import build
+from surfclass.cellcomplex import Vertex, build
 from surfclass.classify import h1_from_normal_form
 from surfclass.errors import (
     DegenerateTriangleError,
@@ -34,6 +34,7 @@ from simputil import (
     DISC,
     MOBIUS_BAND,
     SMALL_FORMS,
+    contours_by_full_keys,
     dual_tree_count,
     edge_keyed_validate_bordered,
     edge_keyed_validate_closed,
@@ -41,6 +42,7 @@ from simputil import (
     form_id,
     full_d2_homology,
     glued_faces,
+    least_reading,
     name_keyed_edges,
     refined_triangles,
     relabelled,
@@ -422,18 +424,28 @@ VERTEX_ORDER_FORMS += [NormalForm(TYPE_II, p, q) for p in range(1, 6) for q in r
 
 
 def assert_first_symbol_order(K):
-    vertices = K.vertices()
-    assert vertices == vertices_by_full_keys(K)
-    _, sym_to_vertex = K._vertex_order
-    assert sym_to_vertex == {s: i for i, v in enumerate(vertices) for s in v.members}
+    """``_vertex_order`` and its symbol map against the full-key oracle,
+    and the contour runs against the border edges."""
+    order, sym_to_vertex = K._vertex_order
+    want = vertices_by_full_keys(K)
+    assert all(len(set(r)) == len(r) for _, r in order)
+    assert tuple(Vertex(kind, least_reading(kind, r)) for kind, r in order) == want
+    assert sym_to_vertex == {s: i for i, v in enumerate(want) for s in v.members}
+    # each border edge lies on exactly one contour, once
+    on_contours = [s.name for c in contours_by_full_keys(K) for s in c]
+    border = [e for e, occ in K.edge_occurrences.items() if len(occ) == 1]
+    assert sorted(on_contours) == sorted(border)
 
 
 @pytest.mark.parametrize("form", VERTEX_ORDER_FORMS, ids=form_id)
 def test_first_symbol_vertex_order_is_the_full_key_order(form):
-    for seed in range(3):
-        K = scramble(make_canonical(form), seed, 15)
-        assert_first_symbol_order(K)
-        assert_first_symbol_order(refine_to_triangulation(K)[0])
+    # scrambles of 0, 15 and 20 moves, their refinements and the
+    # refinements glued back into polygons
+    for seed, moves in ((0, 15), (1, 15), (2, 15), (3, 0), (4, 20)):
+        K = scramble(make_canonical(form), seed, moves)
+        refined, simp = refine_to_triangulation(K)
+        for L in (K, refined, to_cell_complex(simp)):
+            assert_first_symbol_order(L)
 
 
 # ---------------------------------------------------------------------------
