@@ -1,13 +1,16 @@
-"""The counts-first invariant check and the rewriter's own checks.
+"""Canonical vertex order, the rewriter's vertex readings, and the
+counts-first invariant check.
 
-The vertex order itself is checked against the full-key oracle in
-``test_simplicial.py``.
+The quadratic reference tries every rotation of every traversal
+direction; the library orders the runs by the least member of each,
+whose members are distinct, and the rewriter reads a border run from its
+lesser end.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from surfclass.cellcomplex import build
+from surfclass.cellcomplex import BORDER, INNER, build
 from surfclass.errors import InternalInvariantViolation
 from surfclass.rewrite import (
     TYPE_I,
@@ -18,8 +21,10 @@ from surfclass.rewrite import (
     make_canonical,
     scramble,
 )
+from surfclass.simplicial import refine_to_triangulation, to_cell_complex
 
-from simputil import contours_by_full_keys, vertices_by_full_keys
+from simputil import contours_by_full_keys, least_reading, vertices_by_full_keys
+from wordutil import word_key as key
 
 
 FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]
@@ -37,6 +42,49 @@ def test_report_counts_match_canonical_views(form, seed, moves):
     assert r.num_contours == len(contours_by_full_keys(K))
     assert r.euler == n0 - len(K.edges) + len(K.faces)
     assert r.key() == (form.orientable(), form.q, form.euler())
+
+
+def assert_least_representatives(K):
+    order, _ = K._vertex_order
+    for _, r in order:
+        assert len(set(r)) == len(r)
+    vs = vertices_by_full_keys(K)
+    assert [(kind, least_reading(kind, r)) for kind, r in order] == [
+        (v.kind, v.members) for v in vs
+    ]
+    rw = _Rewriter(K)
+    assert rw.border_vertices() == [v for v in vs if v.kind == BORDER]
+    inner = [least_reading(INNER, v.members) for v in rw.inner_vertices()]
+    assert inner == [v.members for v in vs if v.kind == INNER]
+    cs = contours_by_full_keys(K)
+    for c in cs:
+        assert len({s.name for s in c}) == len(c)
+    assert [key(c) for c in cs] == sorted(key(c) for c in cs)
+    border = [e for e, occ in K.edge_occurrences.items() if len(occ) == 1]
+    assert sorted(s.name for c in cs for s in c) == sorted(border)
+
+
+def refinement_and_polygon(K):
+    refined, simp = refine_to_triangulation(K)
+    return refined, to_cell_complex(simp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    form=st.sampled_from(FORMS),
+    seed=st.integers(0, 10**6),
+    moves=st.integers(0, 20),
+)
+def test_vertices_and_contours_are_least_representatives(form, seed, moves):
+    K = scramble(make_canonical(form), seed, moves)
+    for L in (K, *refinement_and_polygon(K)):
+        assert_least_representatives(L)
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"{f.kind}-{f.p}-{f.q}")
+def test_refinements_and_polygons_are_least_representatives(form):
+    for L in refinement_and_polygon(scramble(make_canonical(form), 0, 15)):
+        assert_least_representatives(L)
 
 
 def test_report_is_computed_once_per_complex():
