@@ -42,14 +42,6 @@ NULL = "null"
 
 
 @dataclass(frozen=True)
-class Vertex:
-    """One vertex: a cyclic (inner) or linear (border) run of incoming symbols."""
-
-    kind: str
-    members: tuple
-
-
-@dataclass(frozen=True)
 class InvariantReport:
     orientable: bool
     num_contours: int

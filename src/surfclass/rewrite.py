@@ -44,7 +44,6 @@ from .cellcomplex import (
     BORDER,
     INNER,
     CellComplex,
-    Vertex,
     build,
     checked_complex,
     count_invariants,
@@ -234,22 +233,19 @@ def make_canonical(form: NormalForm) -> CellComplex:
 # the word phases' rule matchers, each read at w[i] cyclically
 
 
-def _is_crosscap(w: Word, i: int, border) -> bool:
-    """``x x`` over an inner edge."""
-    return w[(i + 1) % len(w)] == w[i] and w[i].name not in border
+def _is_crosscap(w: Word, i: int) -> bool:
+    """``x x``.  Where ``mixed_step`` can act the word has at least six
+    letters, so the two positions differ; x then occurs twice, and as no
+    edge occurs more than twice, x is inner."""
+    return w[(i + 1) % len(w)] == w[i]
 
 
-def _is_handle(w: Word, i: int, border) -> bool:
-    """``x y x' y'`` over two distinct inner edges."""
+def _is_handle(w: Word, i: int) -> bool:
+    """``x y x' y'``.  Where ``mixed_step`` can act the four positions
+    differ, so x and y occur twice each and are inner; and x, y differ,
+    as one edge would otherwise occur four times."""
     n = len(w)
-    x, y = w[i], w[(i + 1) % n]
-    return (
-        w[(i + 2) % n] == x.inv()
-        and w[(i + 3) % n] == y.inv()
-        and x.name != y.name
-        and x.name not in border
-        and y.name not in border
-    )
+    return w[(i + 2) % n] == w[i].inv() and w[(i + 3) % n] == w[(i + 1) % n].inv()
 
 
 def _is_loop(w: Word, i: int, border) -> bool:
@@ -474,29 +470,19 @@ class _Rewriter:
                 self.mutate({name: x}, "composite", "cancel_inverse_pairs", tuple(gone))
                 self.spend("cancellation sweep")
 
-    # -- vertex views ---------------------------------------------------------
+    # -- the vertex view -------------------------------------------------------
 
-    def inner_vertices(self):
-        """Inner vertices in ``_vertex_order``, each run as the walk read
-        it.  Exact, as every reader is blind to rotating or reversing a
-        run: the keep and small picks compare member counts, ties to the
-        first; ``_pick_pair`` takes the least of an inner run's set of
-        adjacent ordered pairs; the border steps test membership and
-        truthiness only."""
-        order = self.complex()._vertex_order[0]
-        return [Vertex(INNER, tuple(r)) for kind, r in order if kind == INNER]
-
-    def border_vertices(self):
-        """Border vertices in ``_vertex_order``, each run read from its
-        lesser end: ``reduce_border_vertices`` contracts a two-member one
-        in that direction; the loop test, ``_reserved`` and ``_pick_pair``
-        read either direction alike."""
-        order = self.complex()._vertex_order[0]
-        return [
-            Vertex(BORDER, tuple(r[::-1] if sym_key(r[-1]) < sym_key(r[0]) else r))
-            for kind, r in order
-            if kind == BORDER
-        ]
+    def vertices(self, kind: str) -> list:
+        """The ``_vertex_order`` runs of ``kind`` (INNER or BORDER), in that
+        order, each as the walk read it.  Exact, as every reader is blind
+        to rotating an inner run and to reversing any run: the keep and
+        small picks compare member counts, ties to the first;
+        ``_pick_pair`` takes the least of a run's set of adjacent ordered
+        pairs, on a border run ranked by its ends and by membership; the
+        loop test and ``_reserved`` read the middle member and the names
+        at the ends; ``ensure_inner_vertex`` tests truthiness; and
+        ``reduce_border_vertices`` sorts a two-member run by ``sym_key``."""
+        return [r for k, r in self.complex()._vertex_order[0] if k == kind]
 
     # -- elimination primitive ------------------------------------------------
 
@@ -504,7 +490,9 @@ class _Rewriter:
         """Remove the victim's edge: one P2 cuts the window ``anchor
         victim'`` (or its inverse ``victim anchor'``) off its face, face by
         face and the first window first, and one P2 inverse merges that
-        small face into the holder of the victim's other occurrence."""
+        small face into the holder of the victim's other occurrence, which
+        the slot maps name: the victim's edge is inner, and the anchor's
+        edge is another, so the small face holds one of its two slots."""
         windows = ((anchor, victim.inv()), (victim, anchor.inv()))
         found = next(
             (
@@ -524,12 +512,10 @@ class _Rewriter:
         small, rest = self.fresh_face(), self.fresh_face()
         self.p2(name, i, 2, c, (small, rest))
         # merge the small face into the holder of the other victim occurrence
-        other = next(
-            (f for f, w in self.faces.items() if f != small and victim.name in (s.name for s in w)),
-            None,
-        )
-        if other is None:
-            raise InternalInvariantViolation(f"victim {victim!r} occurs only once")
+        first, last, face = self.counts[3]
+        names = list(self.faces)
+        f1, f2 = (names[face[slot[victim.name]]] for slot in (first, last))
+        other = f2 if f1 == small else f1
         self.p2_inverse(other, small, victim.name)
 
     # -- step 2a: one inner vertex --------------------------------------------
@@ -549,21 +535,20 @@ class _Rewriter:
             self.sweep_cancel()
             if self.is_sphere_state():
                 return
-            inner = self.inner_vertices()
+            inner = self.vertices(INNER)
             if len(inner) <= 1:
                 return
-            keep = max(inner, key=lambda v: len(v.members))
-            small = min((v for v in inner if v is not keep), key=lambda v: len(v.members))
-            anchor, victim = self._pick_pair(small)
+            keep = max(inner, key=len)
+            small = min((r for r in inner if r is not keep), key=len)
+            anchor, victim = self._pick_pair(small, INNER)
             self.eliminate(anchor, victim)
 
-    def _pick_pair(self, v: Vertex, inner_vertex: Vertex = None):
-        """Least (anchor, victim): adjacent members of v, victim's edge inner,
-        anchor's inverse outside v, distinct underlying edges."""
-        members = v.members
+    def _pick_pair(self, members: list, kind: str, inner_run: list = None):
+        """Least (anchor, victim): adjacent members of the run, victim's edge
+        inner, anchor's inverse outside the run, distinct underlying edges."""
         n = len(members)
         inner_edges = self.inner_edges()
-        if v.kind == INNER:
+        if kind == INNER:
             idx = [(i, (i + 1) % n) for i in range(n)]
             idx += [((i + 1) % n, i) for i in range(n)]
         else:
@@ -577,34 +562,33 @@ class _Rewriter:
             if vic.name == a.name or vic.name not in inner_edges:
                 continue
             rank = 0
-            if v.kind == BORDER:
+            if kind == BORDER:
                 if ai in (0, n - 1):
                     rank = 0  # extremal border anchor: preferred
-                elif inner_vertex is not None and a.inv() in inner_vertex.members:
+                elif inner_run is not None and a.inv() in inner_run:
                     rank = 1
                 else:
                     rank = 2
             pairs.append((rank, sym_key(a), sym_key(vic), a, vic))
         if not pairs:
-            raise InternalInvariantViolation(f"no eliminable pair in {v.members}")
+            raise InternalInvariantViolation(f"no eliminable pair in {members}")
         pairs.sort(key=lambda t: t[:3])
         return pairs[0][3], pairs[0][4]
 
     def ensure_inner_vertex(self):
-        if self.inner_vertices():
+        if self.vertices(INNER):
             return
         name = next(iter(self.faces))
         d = self.fresh_edge()
         self.p2(name, 0, len(self.faces[name]), d, (name, self.fresh_face()))
         self.p1(d, self.fresh_edge(), self.fresh_edge())
-        if not self.inner_vertices():
+        if not self.vertices(INNER):
             raise InternalInvariantViolation("failed to create an inner vertex")
 
     # -- step 2b: border vertices into loop shape --------------------------------
 
     @staticmethod
-    def _is_loop_vertex(v: Vertex, inner_edges: dict) -> bool:
-        m = v.members
+    def _is_loop_vertex(m: list, inner_edges: dict) -> bool:
         return len(m) == 3 and m[0] == m[2].inv() and m[1].name in inner_edges
 
     def reduce_border_vertices(self):
@@ -613,24 +597,21 @@ class _Rewriter:
             self.sweep_cancel()
             inner_edges = self.inner_edges()
             offending = [
-                v for v in self.border_vertices()
-                if not self._is_loop_vertex(v, inner_edges)
+                r for r in self.vertices(BORDER) if not self._is_loop_vertex(r, inner_edges)
             ]
             if not offending:
                 return
-            v = offending[0]
-            if len(v.members) == 2:
-                x, y = v.members
+            run = offending[0]
+            if len(run) == 2:
+                x, y = sorted(run, key=sym_key)
                 if x == y.inv():
                     raise InternalInvariantViolation(
-                        f"bare border vertex {v.members} after inner-vertex step"
+                        f"bare border vertex {run} after inner-vertex step"
                     )
                 self.p1_inverse(x, y.inv(), self.fresh_edge())
             else:
-                inner_vs = self.inner_vertices()
-                anchor, victim = self._pick_pair(
-                    v, inner_vertex=inner_vs[0] if inner_vs else None
-                )
+                inner = self.vertices(INNER)
+                anchor, victim = self._pick_pair(run, BORDER, inner[0] if inner else None)
                 self.eliminate(anchor, victim)
 
     # -- steps 3 and 4: merge faces, then shape the single word ------------------
@@ -648,11 +629,11 @@ class _Rewriter:
         """Edges locked inside loops: each hole edge plus its collar."""
         inner_edges = self.inner_edges()
         out = set()
-        for v in self.border_vertices():
-            if not self._is_loop_vertex(v, inner_edges):
-                raise InternalInvariantViolation(f"non-loop border vertex {v.members}")
-            out.add(v.members[0].name)
-            out.add(v.members[1].name)
+        for r in self.vertices(BORDER):
+            if not self._is_loop_vertex(r, inner_edges):
+                raise InternalInvariantViolation(f"non-loop border vertex {r}")
+            out.add(r[0].name)
+            out.add(r[1].name)
         return out
 
     def shape_word(self):
@@ -739,11 +720,10 @@ class _Rewriter:
         """``x x u a b a' b' v`` -> ``a2 a2 u c1 c1 b1 b1 v`` for the first
         cross-cap and the first handle after it."""
         n = len(w)
-        border = self.border_edges()
-        ci = next((i for i in range(n) if _is_crosscap(w, i, border)), None)
+        ci = next((i for i in range(n) if _is_crosscap(w, i)), None)
         if ci is None:
             return None
-        hi = next((h for h in range(2, n - 3) if _is_handle(w, (ci + h) % n, border)), None)
+        hi = next((h for h in range(2, n - 3) if _is_handle(w, (ci + h) % n)), None)
         if hi is None:
             return None
         a2, c1, b1 = (EdgeSym(self.fresh_edge(), 1) for _ in range(3))

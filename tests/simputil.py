@@ -1,8 +1,9 @@
 """Triangulation helpers and fixed triangulations used only by the tests."""
 
 import random
+from collections import namedtuple
 
-from surfclass.cellcomplex import BORDER, INNER, NULL, Vertex, build
+from surfclass.cellcomplex import BORDER, INNER, NULL, build
 from surfclass.edgeword import EdgeSym, inverse_word
 from surfclass.intlinalg import FgAbelianGroup, IntMatrix, smith_normal_form
 from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, make_canonical
@@ -12,6 +13,9 @@ from wordutil import brute_least_rotation, word_key
 
 DISC = [("o", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)]
 MOBIUS_BAND = [(f"m{i}", f"m{(i + 1) % 5}", f"m{(i + 2) % 5}") for i in range(5)]
+
+# one vertex of the full-key oracle: its kind and its least reading
+Vertex = namedtuple("Vertex", "kind members")
 
 # every form with p <= 4 and q <= 3
 SMALL_FORMS = [NormalForm(TYPE_I, p, q) for p in range(5) for q in range(4)]

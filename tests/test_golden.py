@@ -11,7 +11,9 @@ output change is intended (and declared in CHANGES.md).  The three
 ``scramble_II_3_2`` trace were regenerated when that survivor rule
 replaced "keep the first inner vertex, eliminate the second".  The
 ``word_*`` traces pin the composite word rules on one-face words, and
-with them the ``spend`` calls of each ``normalize`` phase.
+with them the ``spend`` calls of each ``normalize`` phase.  One sha256
+pins the scrambles and ``normalize`` traces of 288 seeded scrambles of
+the forms with p <= 4 and q <= 3.
 
 The ``homology`` and ``validate`` files pin the refine -> homology path
 and the triangulation checks: the groups, counts and the violations
@@ -95,6 +97,22 @@ def test_normalize_trace_of_scramble_matches_golden():
     K = scramble(make_canonical(NormalForm("II", 3, 2)), 3, 30)
     got = "".join(m.format() + "\n" for m in normalize(K).trace)
     assert got == expected("scramble_II_3_2_seed3_moves30.normalize_trace")
+
+
+def test_normalize_traces_of_288_scrambles_match_their_digest():
+    """Each form with p <= 4 and q <= 3, kind I then II, scrambled by 25
+    moves with seeds 0-7: one sha256 over every scramble's ``describe``
+    line and the lines of its ``normalize`` trace, in that order."""
+    h = hashlib.sha256()
+    forms = [("I", p) for p in range(5)] + [("II", p) for p in range(1, 5)]
+    for kind, p in forms:
+        for q in range(4):
+            for seed in range(8):
+                K = scramble(make_canonical(NormalForm(kind, p, q)), seed, 25)
+                h.update((K.describe() + "\n").encode("utf-8"))
+                for move in normalize(K).trace:
+                    h.update((move.format() + "\n").encode("utf-8"))
+    assert h.hexdigest() == "9ededab27d811969097bd6f6bac06eb811d78fb6eac2c5423a679bea552ca817"
 
 
 # one-face words that reach the composite word rules, with the number of

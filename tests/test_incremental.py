@@ -55,12 +55,12 @@ def test_incremental_counts_equal_a_full_build_after_every_move(form, monkeypatc
             for e, o in sorted(occ.items())
             if len(o) == 2 and o[0][0] != o[1][0]
         ]
-        # the vertex views: border runs read least, inner runs up to
+        # the vertex view: border runs up to reversal, inner runs up to
         # rotation and reversal, both in the full-key oracle's order
         want = vertices_by_full_keys(K)
-        assert self.border_vertices() == [v for v in want if v.kind == BORDER]
-        inner = [least_reading(INNER, v.members) for v in self.inner_vertices()]
-        assert inner == [v.members for v in want if v.kind == INNER]
+        for kind in (BORDER, INNER):
+            got = [least_reading(kind, r) for r in self.vertices(kind)]
+            assert got == [v.members for v in want if v.kind == kind]
         key = count_invariants(list(self.faces.values()))[0].key()
         assert key == K.invariant_report().key()
         # known by construction, independently of the counting pass

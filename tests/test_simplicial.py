@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from surfclass import simplicial
-from surfclass.cellcomplex import Vertex, build
+from surfclass.cellcomplex import build
 from surfclass.classify import h1_from_normal_form
 from surfclass.errors import (
     DegenerateTriangleError,
@@ -429,7 +429,7 @@ def assert_first_symbol_order(K):
     order, sym_to_vertex = K._vertex_order
     want = vertices_by_full_keys(K)
     assert all(len(set(r)) == len(r) for _, r in order)
-    assert tuple(Vertex(kind, least_reading(kind, r)) for kind, r in order) == want
+    assert tuple((kind, least_reading(kind, r)) for kind, r in order) == want
     assert sym_to_vertex == {s: i for i, v in enumerate(want) for s in v.members}
     # each border edge lies on exactly one contour, once
     on_contours = [s.name for c in contours_by_full_keys(K) for s in c]

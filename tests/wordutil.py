@@ -1,7 +1,7 @@
 """Cyclic-word helpers used only as test oracles."""
 
 from surfclass.edgeword import EdgeSym, Word, inverse_word, rotate, sym_key
-from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm, _is_crosscap, _is_handle, _is_loop
+from surfclass.rewrite import TYPE_I, TYPE_II, NormalForm
 
 
 def rotations(w):
@@ -67,20 +67,23 @@ def _parse_blocks(w: Word, border):
     """Parse a word into (crosscaps, handles, loops) blocks.
 
     Succeeds only for a clean run of non-loop blocks followed by a run
-    of loops; returns None otherwise.
+    of loops; returns None otherwise.  Each block is read at distinct
+    positions from the left, not cyclically; as no edge occurs more than
+    twice, a cross-cap ``x x`` and a handle ``x y x' y'`` are then over
+    distinct inner edges, and only a loop ``c h c'`` reads ``border``.
     """
     crosscaps, handles, loops = [], [], []
     i, n = 0, len(w)
     while i < n:
-        if i + 1 < n and _is_crosscap(w, i, border):
+        if i + 1 < n and w[i + 1] == w[i]:
             if loops:
                 return None
             crosscaps.append(w[i])
             i += 2
-        elif i + 2 < n and _is_loop(w, i, border):
+        elif i + 2 < n and w[i + 1].name in border and w[i + 2] == w[i].inv():
             loops.append((w[i], w[i + 1]))
             i += 3
-        elif i + 3 < n and _is_handle(w, i, border):
+        elif i + 3 < n and w[i + 2] == w[i].inv() and w[i + 3] == w[i + 1].inv():
             if loops:
                 return None
             handles.append((w[i], w[i + 1]))
